@@ -1,10 +1,11 @@
 """Benchmark: kernel backends (numpy reference vs fused vs numba).
 
 Times the two solver hot paths -- the nine-point stencil matvec and the
-EVP preconditioner apply -- plus the full P-CSI+EVP solve on a 16x16
-decomposition under both execution engines, once per available kernel
-backend, and writes the results (with speedups over the ``numpy``
-reference) to ``BENCH_kernels.json``.
+EVP preconditioner apply, the latter both on the global field and on
+the virtual machine's stacked block layout -- plus the full P-CSI+EVP
+solve on the virtual machine over a 16x16 decomposition, once per
+available kernel backend, and writes the results (with speedups over
+the ``numpy`` reference) to ``BENCH_kernels.json``.
 
 Deterministic backends must agree bit-for-bit -- asserted here on every
 metric's output.  The optional ``numba`` backend is allowed 1e-12
@@ -16,9 +17,10 @@ The file doubles as the perf-regression gate for CI::
     PYTHONPATH=src python benchmarks/bench_kernels.py --quick    # CI smoke
     PYTHONPATH=src python benchmarks/bench_kernels.py --quick --check
 
-``--check`` exits nonzero when the fused backend's per-rank-engine
-P-CSI solve speedup falls below the floor (2.0 full, 1.4 quick -- the
-quick grid is smaller, so fixed costs weigh more), or regresses below
+``--check`` exits nonzero when the fused backend's speedup on the
+stacked EVP apply -- the dispatch-bound tile marching the backend
+exists for -- falls below the floor (2.0 full, 1.4 quick -- the quick
+grid is smaller, so fixed costs weigh more), or regresses below
 ``--regression-fraction`` (default 0.7) of the committed baseline's
 speedup when a comparable baseline (same grid/quick flag) exists.
 """
@@ -40,11 +42,12 @@ from repro.parallel import VirtualMachine, decompose  # noqa: E402
 from repro.precond.evp import evp_for_config  # noqa: E402
 from repro.solvers import DistributedContext, PCSISolver  # noqa: E402
 
-ENGINES = ("perrank", "batched")
-
-#: Minimum acceptable fused-over-numpy speedup on the per-rank P-CSI
-#: solve (the dispatch-bound configuration the backend exists for).
+#: Minimum acceptable fused-over-numpy speedup on the stacked EVP apply
+#: (the dispatch-bound tile marching the backend exists for).
 SPEEDUP_FLOOR = {"full": 2.0, "quick": 1.4}
+
+#: The metric the gate reads.
+GATED = "evp_stack_s"
 
 #: Relative round-off budget for the non-deterministic numba backend.
 NUMBA_RTOL = 1e-12
@@ -88,22 +91,28 @@ def bench_backend(name, config, decomp, b_global, eig_bounds, repeats,
         lambda: pre.apply_global(r_global, out=z), repeats)
     outputs["evp_apply"] = pre.apply_global(r_global)
 
-    # -- full P-CSI+EVP solves, one per execution engine ---------------
-    for engine in ENGINES:
-        vm = VirtualMachine(decomp, mask=config.mask, engine=engine)
-        pre = evp_for_config(config, decomp=decomp, kernels=backend)
-        ctx = DistributedContext(config.stencil, pre, vm, kernels=backend)
-        solver = PCSISolver(ctx, eig_bounds=eig_bounds, tol=solve_tol,
-                            max_iterations=5000)
-        result = solver.solve(b_global)  # warm (plans, scratch, buffers)
-        best = float("inf")
-        for _ in range(solve_repeats):
-            t0 = time.perf_counter()
-            result = solver.solve(b_global)
-            best = min(best, time.perf_counter() - t0)
-        entry[f"pcsi_{engine}_s"] = best
-        entry[f"pcsi_{engine}_iterations"] = result.iterations
-        outputs[f"pcsi_{engine}"] = result.x
+    # -- micro: EVP apply on the virtual machine's stacked layout -------
+    r_stack = decomp.stack_interiors(r_global)
+    z_stack = np.empty_like(r_stack)
+    entry["evp_stack_s"] = _time_op(
+        lambda: pre.apply_stack(r_stack, out=z_stack), repeats)
+    outputs["evp_stack"] = pre.apply_stack(r_stack)
+
+    # -- full P-CSI+EVP solve on the virtual machine --------------------
+    vm = VirtualMachine(decomp, mask=config.mask)
+    pre = evp_for_config(config, decomp=decomp, kernels=backend)
+    ctx = DistributedContext(config.stencil, pre, vm, kernels=backend)
+    solver = PCSISolver(ctx, eig_bounds=eig_bounds, tol=solve_tol,
+                        max_iterations=5000)
+    result = solver.solve(b_global)  # warm (plans, scratch, buffers)
+    best = float("inf")
+    for _ in range(solve_repeats):
+        t0 = time.perf_counter()
+        result = solver.solve(b_global)
+        best = min(best, time.perf_counter() - t0)
+    entry["pcsi_s"] = best
+    entry["pcsi_iterations"] = result.iterations
+    outputs["pcsi"] = result.x
     return entry, outputs
 
 
@@ -128,24 +137,24 @@ def run_gate(report, baseline_path, mode, regression_fraction):
     failures = []
     floor = SPEEDUP_FLOOR[mode]
     speedup = (report["backends"].get("fused", {})
-               .get("speedup_vs_numpy", {}).get("pcsi_perrank_s"))
+               .get("speedup_vs_numpy", {}).get(GATED))
     if speedup is None:
         failures.append("fused backend was not benchmarked")
         return failures
     if speedup < floor:
         failures.append(
-            f"fused per-rank P-CSI speedup {speedup:.2f}x is below the "
+            f"fused stacked EVP apply speedup {speedup:.2f}x is below the "
             f"{floor:.1f}x floor")
     if baseline_path.exists():
         baseline = json.loads(baseline_path.read_text())
         comparable = (baseline.get("quick") == report["quick"]
                       and baseline.get("grid") == report["grid"])
         base = (baseline.get("backends", {}).get("fused", {})
-                .get("speedup_vs_numpy", {}).get("pcsi_perrank_s"))
+                .get("speedup_vs_numpy", {}).get(GATED))
         if comparable and base:
             if speedup < regression_fraction * base:
                 failures.append(
-                    f"fused per-rank P-CSI speedup regressed: "
+                    f"fused stacked EVP apply speedup regressed: "
                     f"{speedup:.2f}x vs baseline {base:.2f}x "
                     f"(< {regression_fraction:.0%})")
         else:
@@ -201,7 +210,7 @@ def main(argv=None):
     # Pin the Chebyshev interval once so every backend runs the same
     # iteration schedule and the comparison is execution-only.
     probe_pre = evp_for_config(config, decomp=decomp, kernels="numpy")
-    probe_vm = VirtualMachine(decomp, mask=config.mask, engine="batched")
+    probe_vm = VirtualMachine(decomp, mask=config.mask)
     probe = PCSISolver(
         DistributedContext(config.stencil, probe_pre, probe_vm,
                            kernels="numpy"),
@@ -239,8 +248,7 @@ def main(argv=None):
         report["backends"][name] = entry
 
     base = report["backends"]["numpy"]
-    metrics = ("matvec_s", "evp_apply_s",
-               "pcsi_perrank_s", "pcsi_batched_s")
+    metrics = ("matvec_s", "evp_apply_s", "evp_stack_s", "pcsi_s")
     for name, entry in report["backends"].items():
         entry["speedup_vs_numpy"] = {
             key: base[key] / entry[key] for key in metrics
@@ -248,10 +256,9 @@ def main(argv=None):
     for name, entry in report["backends"].items():
         s = entry["speedup_vs_numpy"]
         print(f"[bench_kernels] {name:6s}: "
-              f"pcsi perrank {entry['pcsi_perrank_s']:.3f}s "
-              f"({s['pcsi_perrank_s']:.2f}x), "
-              f"batched {entry['pcsi_batched_s']:.3f}s "
-              f"({s['pcsi_batched_s']:.2f}x), "
+              f"pcsi {entry['pcsi_s']:.3f}s "
+              f"({s['pcsi_s']:.2f}x), "
+              f"evp stack {s['evp_stack_s']:.2f}x, "
               f"evp apply {s['evp_apply_s']:.2f}x, "
               f"matvec {s['matvec_s']:.2f}x", flush=True)
 

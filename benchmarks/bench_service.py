@@ -278,7 +278,7 @@ def main(argv=None):
     parser.add_argument("--max-batch", type=int, default=16)
     parser.add_argument("--max-wait-ms", type=float, default=25.0)
     parser.add_argument("--engine", default="batched",
-                        choices=("serial", "perrank", "batched"),
+                        choices=("serial", "batched"),
                         help="execution engine both servers run "
                              "(default: batched -- the amortizing "
                              "regime the coalescer targets)")

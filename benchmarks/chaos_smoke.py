@@ -75,8 +75,7 @@ def _in_solve_chaos(out_dir):
                       rng.standard_normal(config.shape) * config.mask)
 
     def build(faults):
-        vm = VirtualMachine(decomp, mask=config.mask, engine="perrank",
-                            faults=faults)
+        vm = VirtualMachine(decomp, mask=config.mask, faults=faults)
         pre = make_preconditioner("diagonal", config.stencil,
                                   decomp=decomp)
         ctx = DistributedContext(config.stencil, pre, vm)

@@ -1,6 +1,6 @@
-"""Fault-injection smoke: the injector x engine matrix, end to end.
+"""Fault-injection smoke: the injector matrix, end to end.
 
-Runs every fault injector against every execution engine and asserts the
+Runs every fault injector against the virtual machine and asserts the
 guardrail contract from the outside, the way CI consumes it: each
 injected corruption must surface as a structured
 :class:`~repro.solvers.health.SolverDiagnosis` (or, for the eigenbound
@@ -13,16 +13,17 @@ Further sections extend the contract to the resilience layer:
 * **in-solve resilience** -- the chaos injectors (``rank_death``,
   ``bitflip``) run against solves armed with a
   :class:`~repro.parallel.resilience.ResiliencePolicy`, which must
-  recover *bit-identically* to an undisturbed solve on both engines;
+  recover *bit-identically* to an undisturbed solve;
 * **replication_overhead** -- buddy replication at the default
-  interval on a 16x16-block P-CSI+EVP solve must cost < 5 % of the
-  solve wall clock (self-timed by the runtime);
+  interval on the default P-CSI+EVP solve (``pop_1deg`` at scale 0.5,
+  land-eliminated 8x8 lattice) must cost < 5 % of the solve wall clock
+  (self-timed by the runtime);
 * **pipeline** -- the infrastructure injectors (``worker_crash``,
   ``slow_rank``, ``cache_corrupt``) run against a live ``run_all``
   pipeline, which must complete with zero failed steps (retry, pool
   rebuild, quarantine + rebuild);
-* **checkpoint_overhead** -- a checkpointed distributed solve at the
-  default snapshot interval (every 50 iterations) must spend < 2 % of
+* **checkpoint_overhead** -- the same solve, checkpointed at the
+  default snapshot interval (every 50 iterations), must spend < 2 % of
   its wall clock writing snapshots.
 
 Writes one JSON document per run with the diagnosis of every scenario
@@ -49,7 +50,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.core import CheckpointPolicy  # noqa: E402
 from repro.core.cache import ArtifactCache, get_cache, set_cache  # noqa: E402
 from repro.core.errors import ConvergenceError  # noqa: E402
-from repro.grid import test_config as make_test_config  # noqa: E402
+from repro.grid import pop_1deg, test_config as make_test_config  # noqa: E402
 from repro.operators import apply_stencil  # noqa: E402
 from repro.parallel import (  # noqa: E402
     CacheCorruptFault,
@@ -70,8 +71,6 @@ from repro.solvers import (  # noqa: E402
     PCSISolver,
     PipeCGSolver,
 )
-
-ENGINES = ("perrank", "batched")
 
 SOLVERS = {
     "chrongear": ChronGearSolver,
@@ -118,13 +117,12 @@ SCENARIOS = [
 ]
 
 
-def _run_scenario(config, decomp, engine, solver_key, fault_spec,
-                  kwargs, expected):
+def _run_scenario(config, decomp, solver_key, fault_spec, kwargs,
+                  expected):
     kind, params = fault_spec
     fault = make_fault(kind, **params)
     vm_faults = [] if kind == "nan_rhs" else [fault]
-    vm = VirtualMachine(decomp, mask=config.mask, engine=engine,
-                        faults=vm_faults)
+    vm = VirtualMachine(decomp, mask=config.mask, faults=vm_faults)
     pre = make_preconditioner("diagonal", config.stencil, decomp=decomp)
     ctx = DistributedContext(config.stencil, pre, vm)
     solver = SOLVERS[solver_key](ctx, tol=1e-10, max_iterations=3000,
@@ -202,7 +200,7 @@ def _run_scenario(config, decomp, engine, solver_key, fault_spec,
 
 
 #: In-solve resilience matrix: each chaos fault must be survived
-#: bit-identically under the default policy, on both engines.
+#: bit-identically under the default policy.
 RESILIENCE_SCENARIOS = [
     ("resilience-rank-death", ("rank_death", {"rank": 5, "at": 9})),
     ("resilience-bitflip-halo",
@@ -212,14 +210,13 @@ RESILIENCE_SCENARIOS = [
 ]
 
 
-def _run_resilient_scenario(config, decomp, engine, fault_spec):
+def _run_resilient_scenario(config, decomp, fault_spec):
     """A chaos fault under the default policy: detect, roll back,
     re-converge to the undisturbed solve's exact bits."""
     kind, params = fault_spec
 
     def build(faults):
-        vm = VirtualMachine(decomp, mask=config.mask, engine=engine,
-                            faults=faults)
+        vm = VirtualMachine(decomp, mask=config.mask, faults=faults)
         pre = make_preconditioner("diagonal", config.stencil,
                                   decomp=decomp)
         ctx = DistributedContext(config.stencil, pre, vm)
@@ -262,8 +259,21 @@ def _run_resilient_scenario(config, decomp, engine, fault_spec):
 REPLICATION_BUDGET = 0.05
 
 
-def _replication_overhead(config):
-    """Measure resilience cost on the 16x16-block P-CSI+EVP solve.
+def _overhead_layout():
+    """The default configuration the overhead budgets are measured on:
+    ``pop_1deg`` at scale 0.5 on the land-eliminated 8x8 lattice, whose
+    per-iteration cost is representative (on the small test grid fixed
+    per-call costs dominate the fractions)."""
+    config = pop_1deg(scale=0.5)
+    decomp = decompose(config.ny, config.nx, 8, 8, mask=config.mask)
+    rng = np.random.default_rng(1)
+    b = apply_stencil(config.stencil,
+                      rng.standard_normal(config.shape) * config.mask)
+    return config, decomp, b
+
+
+def _replication_overhead():
+    """Measure resilience cost on the default P-CSI+EVP solve.
 
     Two self-timed fractions, both held under ``REPLICATION_BUDGET``:
     replication alone (``abft: False`` -- deep copies of the loop
@@ -274,13 +284,10 @@ def _replication_overhead(config):
     still runs twice and keeps the lower fraction to damp scheduler
     jitter in the denominator.
     """
-    decomp = decompose(config.ny, config.nx, 16, 16, mask=config.mask)
-    rng = np.random.default_rng(1)
-    b = apply_stencil(config.stencil,
-                      rng.standard_normal(config.shape) * config.mask)
+    config, decomp, b = _overhead_layout()
 
     def run(resilience):
-        vm = VirtualMachine(decomp, mask=config.mask, engine="perrank")
+        vm = VirtualMachine(decomp, mask=config.mask)
         pre = evp_for_config(config, decomp=decomp)
         ctx = DistributedContext(config.stencil, pre, vm)
         solver = PCSISolver(ctx, tol=1e-12, max_iterations=3000)
@@ -302,8 +309,8 @@ def _replication_overhead(config):
     result, summary, overhead, total = best_of_two({"abft": False})
     abft_result, abft_summary, abft_overhead, _ = best_of_two(True)
     record = {
-        "engine": "perrank",
-        "blocks": "16x16",
+        "grid": config.name,
+        "blocks": "8x8",
         "iterations": result.iterations,
         "replications": summary["counters"]["replications"],
         "solve_seconds": total,
@@ -443,21 +450,18 @@ class _TimedPolicy(CheckpointPolicy):
 OVERHEAD_BUDGET = 0.02
 
 
-def _checkpoint_overhead(config, decomp):
-    """Measure snapshot cost inside a distributed P-CSI+EVP solve.
+def _checkpoint_overhead():
+    """Measure snapshot cost inside the default P-CSI+EVP solve.
 
-    Uses the per-rank engine (realistic per-iteration cost relative to
-    the tiny test grid) and the default ``every=50`` interval; the
-    overhead is the policy's own write time over total solve time, so
-    the measurement does not depend on comparing two noisy runs.
+    Uses the default ``every=50`` interval; the overhead is the
+    policy's own write time over total solve time, so the measurement
+    does not depend on comparing two noisy runs.
     """
-    vm = VirtualMachine(decomp, mask=config.mask, engine="perrank")
+    config, decomp, b = _overhead_layout()
+    vm = VirtualMachine(decomp, mask=config.mask)
     pre = evp_for_config(config, decomp=decomp)
     ctx = DistributedContext(config.stencil, pre, vm)
     solver = PCSISolver(ctx, tol=1e-12, max_iterations=3000)
-    rng = np.random.default_rng(1)
-    b = apply_stencil(config.stencil,
-                      rng.standard_normal(config.shape) * config.mask)
     with tempfile.TemporaryDirectory() as ckdir:
         policy = _TimedPolicy(ckdir)  # defaults: every=50, keep=3
         start = time.perf_counter()
@@ -467,7 +471,8 @@ def _checkpoint_overhead(config, decomp):
         write_seconds = policy.write_seconds
     overhead = write_seconds / total if total > 0 else float("inf")
     record = {
-        "engine": "perrank",
+        "grid": config.name,
+        "blocks": "8x8",
         "interval": policy.every,
         "iterations": result.iterations,
         "snapshots": writes,
@@ -503,35 +508,30 @@ def main(argv=None):
     report = {"grid": config.name, "blocks": "4x4", "scenarios": {}}
     violations = []
     for name, solver_key, fault_spec, kwargs, expected in SCENARIOS:
-        for engine in ENGINES:
-            key = f"{name}[{engine}]"
-            record = _run_scenario(config, decomp, engine, solver_key,
-                                   fault_spec, dict(kwargs), expected)
-            report["scenarios"][key] = record
-            status = record.get("violation") or record["outcome"]
-            print(f"  {key:44s} {status}")
-            if "violation" in record:
-                violations.append((key, record["violation"]))
+        record = _run_scenario(config, decomp, solver_key, fault_spec,
+                               dict(kwargs), expected)
+        report["scenarios"][name] = record
+        status = record.get("violation") or record["outcome"]
+        print(f"  {name:44s} {status}")
+        if "violation" in record:
+            violations.append((name, record["violation"]))
 
     for name, fault_spec in RESILIENCE_SCENARIOS:
-        for engine in ENGINES:
-            key = f"{name}[{engine}]"
-            record = _run_resilient_scenario(config, decomp, engine,
-                                             fault_spec)
-            report["scenarios"][key] = record
-            status = record.get("violation") or record["outcome"]
-            print(f"  {key:44s} {status}")
-            if "violation" in record:
-                violations.append((key, record["violation"]))
+        record = _run_resilient_scenario(config, decomp, fault_spec)
+        report["scenarios"][name] = record
+        status = record.get("violation") or record["outcome"]
+        print(f"  {name:44s} {status}")
+        if "violation" in record:
+            violations.append((name, record["violation"]))
 
     if not args.solver_only:
-        record = _replication_overhead(config)
+        record = _replication_overhead()
         report["replication_overhead"] = record
         status = record.get(
             "violation",
             f"{record['overhead']:.2%} of solve "
             f"(abft: {record['abft_overhead']:.2%})")
-        print(f"  {'replication-overhead[perrank]':44s} {status}")
+        print(f"  {'replication-overhead':44s} {status}")
         if "violation" in record:
             violations.append(
                 ("replication-overhead", record["violation"]))
@@ -548,13 +548,13 @@ def main(argv=None):
             if "violation" in record:
                 violations.append((key, record["violation"]))
 
-        record = _checkpoint_overhead(config, decomp)
+        record = _checkpoint_overhead()
         report["checkpoint_overhead"] = record
         status = record.get(
             "violation",
             f"{record['overhead']:.2%} of solve "
             f"({record['snapshots']} snapshots)")
-        print(f"  {'checkpoint-overhead[perrank]':44s} {status}")
+        print(f"  {'checkpoint-overhead':44s} {status}")
         if "violation" in record:
             violations.append(("checkpoint-overhead", record["violation"]))
 

@@ -17,8 +17,8 @@ Commands
     out).  ``--precond`` accepts the polynomial kinds ``cheby:D`` and
     ``ncheby:D[:K]``; ``--precond-degree`` / ``--newton-steps``
     override the suffix.
-    ``--engine {serial,perrank,batched}`` selects the execution
-    substrate; ``--kernels {auto,numpy,fused,numba}`` the kernel
+    ``--engine {serial,batched}`` selects the serial context or the
+    stacked virtual machine; ``--kernels {auto,numpy,fused,numba}`` the kernel
     backend (default ``$REPRO_KERNELS`` or ``auto``);
     ``--inject-fault SPEC`` (repeatable) attaches
     deterministic fault injectors to exercise the solver guardrails,
@@ -202,8 +202,8 @@ def cmd_solve(args):
         # Halo / reduction / eigenbound faults live in the virtual
         # machine, which the serial context bypasses.
         print("note: --inject-fault requires the virtual machine; "
-              "switching to --engine perrank")
-        engine = "perrank"
+              "switching to --engine batched")
+        engine = "batched"
 
     resilience = None
     if args.replicate_every is not None or args.abft:
@@ -214,8 +214,8 @@ def cmd_solve(args):
             # Buddy replication and halo/rowsum checks live in the
             # virtual machine, like the fault injectors.
             print("note: resilience requires the virtual machine; "
-                  "switching to --engine perrank")
-            engine = "perrank"
+                  "switching to --engine batched")
+            engine = "batched"
 
     precond_kwargs = {}
     base_kind = precond_kind.split(":", 1)[0].lower()
@@ -237,8 +237,7 @@ def cmd_solve(args):
         ctx = SerialContext(config.stencil, pre, kernels=kernels)
     else:
         decomp = decompose(config.ny, config.nx, by, bx, mask=config.mask)
-        vm = VirtualMachine(decomp, mask=config.mask, engine=engine,
-                            faults=vm_faults)
+        vm = VirtualMachine(decomp, mask=config.mask, faults=vm_faults)
         if precond_kind == "evp":
             pre = evp_for_config(config, decomp=decomp, kernels=kernels)
         else:
@@ -610,10 +609,10 @@ def build_parser():
     p_solve.add_argument("--cores", type=int, nargs="*",
                          default=[470, 16875])
     p_solve.add_argument("--engine", default=None,
-                         choices=["serial", "perrank", "batched"],
-                         help="serial context or a virtual-machine "
-                              "execution engine (default: the persisted "
-                              "tuned choice if any, else serial)")
+                         choices=["serial", "batched"],
+                         help="serial context or the stacked virtual "
+                              "machine (default: the persisted tuned "
+                              "choice if any, else serial)")
     p_solve.add_argument("--kernels", default=None,
                          help="kernel backend: auto, numpy, fused or "
                               "numba (default: $REPRO_KERNELS or auto)")
@@ -779,7 +778,7 @@ def build_parser():
                               "decomposition for engine solves "
                               "(default: 4,4)")
     p_serve.add_argument("--engine", default=None,
-                         choices=("serial", "perrank", "batched"),
+                         choices=("serial", "batched"),
                          help="default execution engine for requests "
                               "that omit one ('batched' amortizes "
                               "coalesced multi-RHS solves; default: "

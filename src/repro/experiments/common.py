@@ -309,13 +309,13 @@ _POLY_PREFIXES = ("cheby", "chebyshev", "ncheby", "newton")
 def _decomposed_context(config, precond, engine, blocks, cache):
     """Build the execution context for a decomposed measured solve.
 
-    ``engine == "serial"`` runs the per-block serial loop over the
-    decomposition; ``"perrank"``/``"batched"`` run the virtual-machine
-    engines (the batched engine amortizes per-iteration fixed costs --
-    halo exchanges, block-loop dispatch -- across multi-RHS columns,
-    which is what the service's coalescer banks on).  The iterates are
-    bit-identical across contexts (context-equivalence), so results
-    remain comparable with serial-context measurements.
+    ``engine == "serial"`` runs the serial context with
+    decomposition-derived events; ``"batched"`` runs the stacked
+    virtual machine (it amortizes per-iteration fixed costs -- halo
+    exchanges, reductions -- across multi-RHS columns, which is what
+    the service's coalescer banks on).  Both contexts apply the same
+    operator and preconditioner and record identical event counts, so
+    results remain comparable with serial-context measurements.
     """
     from repro.parallel import VirtualMachine
     from repro.solvers import DistributedContext
@@ -332,7 +332,7 @@ def _decomposed_context(config, precond, engine, blocks, cache):
                                   decomp=decomp, **pkw)
     if engine == "serial":
         return SerialContext(config.stencil, pre, decomp=decomp)
-    vm = VirtualMachine(decomp, mask=config.mask, engine=engine)
+    vm = VirtualMachine(decomp, mask=config.mask)
     return DistributedContext(config.stencil, pre, vm)
 
 
@@ -355,11 +355,11 @@ def measure_solver(config, solver="chrongear", precond="diagonal",
     field or a ``(ny, nx, nrhs)`` multi-RHS batch.  The cache key digests
     its full content (see :func:`solve_key`).
 
-    ``engine`` (``"serial"``/``"perrank"``/``"batched"``) with
-    ``blocks=(by, bx)`` selects a decomposed context instead (see
+    ``engine`` (``"serial"``/``"batched"``) with ``blocks=(by, bx)``
+    selects a decomposed context instead (see
     :func:`_decomposed_context`); the solver service uses the batched
     engine so coalesced multi-RHS batches amortize per-iteration fixed
-    costs.  Iterates are bit-identical across contexts.
+    costs.
 
     ``resilience`` (a policy dict, ``True``, or a
     :class:`~repro.parallel.resilience.ResiliencePolicy`) enables the
@@ -368,13 +368,17 @@ def measure_solver(config, solver="chrongear", precond="diagonal",
     ``"resilience"``-phase events).
     """
     cache = cache if cache is not None else get_cache()
+    if engine not in (None, "serial", "batched"):
+        raise ConfigurationError(
+            f"measure_solver: unknown engine {engine!r}; expected "
+            "'serial' or 'batched'")
     if engine is not None and blocks is None:
         raise ConfigurationError(
             "measure_solver: engine requires blocks=(by, bx)")
     if resilience is not None and engine in (None, "serial"):
         raise ConfigurationError(
-            "measure_solver: resilience requires a virtual-machine "
-            "engine ('perrank' or 'batched')")
+            "measure_solver: resilience requires the virtual-machine "
+            "engine 'batched'")
     key = solve_key(config, solver, precond, tol, check_freq,
                     max_iterations, rhs=rhs, engine=engine,
                     blocks=blocks, resilience=resilience,

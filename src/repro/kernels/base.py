@@ -4,7 +4,7 @@ A *kernel backend* is a pluggable implementation of the two per-iteration
 hot paths of the reproduction:
 
 * the nine-point stencil matrix-vector product (the paper's ``9 n^2``
-  computation term), in its global, per-rank-local and stacked forms,
+  computation term), in its global and stacked forms,
 * the EVP tile solve (the paper's ``14 n^2`` preconditioner apply):
   two marching sweeps plus the edge-residual evaluation.
 
@@ -69,14 +69,6 @@ class KernelBackend:
         ``out`` is preallocated and never aliases ``x``/``padded``.
         A trailing ``nrhs`` axis, when present, batches independent
         right-hand sides through one vectorized pass.
-        """
-        raise NotImplementedError
-
-    def stencil_apply_local(self, coeffs, local, h, out):
-        """``A @ x`` on one rank's interior, neighbors read from halos.
-
-        ``local`` has shape ``(bny + 2h, bnx + 2h[, nrhs])``; ``out`` is
-        the preallocated ``(bny, bnx[, nrhs])`` interior result.
         """
         raise NotImplementedError
 

@@ -351,23 +351,6 @@ class FusedKernels(KernelBackend):
             out += t
         return out
 
-    def stencil_apply_local(self, coeffs, local, h, out):
-        xp = self.xp
-        bny, bnx = out.shape[:2]
-        t = self._scratch(out.shape, out.dtype)
-        cv = (lambda c: c[..., None]) if local.ndim == 3 else (lambda c: c)
-
-        def view(dj, di):
-            return local[h + dj:h + dj + bny, h + di:h + di + bnx]
-
-        xp.multiply(cv(coeffs.c), view(0, 0), out=out)
-        for name, dj, di in (("n", 1, 0), ("s", -1, 0), ("e", 0, 1),
-                             ("w", 0, -1), ("ne", 1, 1), ("nw", 1, -1),
-                             ("se", -1, 1), ("sw", -1, -1)):
-            xp.multiply(cv(getattr(coeffs, name)), view(dj, di), out=t)
-            out += t
-        return out
-
     def stencil_apply_stacked(self, coeffs, stack, h, bny, bnx, out):
         xp = self.xp
         if (stack.ndim == 4 and xp is np and stack.flags.c_contiguous

@@ -172,19 +172,6 @@ class NumbaKernels(KernelBackend):
                            coeffs.w, coeffs.ne, coeffs.nw, coeffs.se,
                            coeffs.sw, padded, 1, out)
 
-    def stencil_apply_local(self, coeffs, local, h, out):
-        if local.ndim == 3:
-            for j in range(local.shape[-1]):
-                out[..., j] = _stencil_2d(
-                    coeffs.c, coeffs.n, coeffs.s, coeffs.e, coeffs.w,
-                    coeffs.ne, coeffs.nw, coeffs.se, coeffs.sw,
-                    np.ascontiguousarray(local[..., j]), h,
-                    np.empty(out.shape[:2]))
-            return out
-        return _stencil_2d(coeffs.c, coeffs.n, coeffs.s, coeffs.e,
-                           coeffs.w, coeffs.ne, coeffs.nw, coeffs.se,
-                           coeffs.sw, local, h, out)
-
     def stencil_apply_stacked(self, coeffs, stack, h, bny, bnx, out):
         args = tuple(np.ascontiguousarray(coeffs[name])
                      for name in _COEFF_ORDER)

@@ -51,25 +51,6 @@ class NumpyKernels(KernelBackend):
         out += cv(coeffs.sw) * padded[:-2, :-2]
         return out
 
-    def stencil_apply_local(self, coeffs, local, h, out):
-        xp = self.xp
-        bny, bnx = out.shape[:2]
-        cv = (lambda c: c[..., None]) if local.ndim == 3 else (lambda c: c)
-
-        def view(dj, di):
-            return local[h + dj:h + dj + bny, h + di:h + di + bnx]
-
-        xp.multiply(cv(coeffs.c), view(0, 0), out=out)
-        out += cv(coeffs.n) * view(1, 0)
-        out += cv(coeffs.s) * view(-1, 0)
-        out += cv(coeffs.e) * view(0, 1)
-        out += cv(coeffs.w) * view(0, -1)
-        out += cv(coeffs.ne) * view(1, 1)
-        out += cv(coeffs.nw) * view(1, -1)
-        out += cv(coeffs.se) * view(-1, 1)
-        out += cv(coeffs.sw) * view(-1, -1)
-        return out
-
     def stencil_apply_stacked(self, coeffs, stack, h, bny, bnx, out):
         xp = self.xp
         cv = (lambda c: c[..., None]) if stack.ndim == 4 else (lambda c: c)

@@ -11,7 +11,6 @@
 from repro.operators.stencil_op import (
     MATVEC_FLOPS_PER_POINT,
     apply_stencil,
-    apply_stencil_local,
     residual,
 )
 from repro.operators.blocked import BlockedOperator
@@ -25,7 +24,6 @@ from repro.operators.matrix import (
 __all__ = [
     "MATVEC_FLOPS_PER_POINT",
     "apply_stencil",
-    "apply_stencil_local",
     "residual",
     "BlockedOperator",
     "to_sparse",

@@ -6,27 +6,25 @@ reading neighbor values out of its exchanged halo -- exactly POP's
 validated against the global one: ``gather(blocked(x)) == global(x)``
 bit-for-bit on every grid the test suite generates.
 
-On uniform decompositions the nine per-rank coefficient slices are also
-kept stacked as ``(p, bny, bnx)`` arrays, so that
-:meth:`BlockedOperator.apply` on stacked fields runs the whole
-multiply-accumulate sequence as nine vectorized numpy calls over the
-stack instead of a Python loop over ranks -- bit-identical, since every
-point sees the same operation sequence in the same order.
+The nine coefficient arrays are kept stacked as ``(p, bny, bnx)``
+arrays over the active blocks (zero on ragged padding), so
+:meth:`BlockedOperator.apply` runs the whole multiply-accumulate
+sequence as nine vectorized numpy calls over the stack -- every point
+sees the same operation sequence, in the same order, as the global
+apply.
 """
-
-import numpy as np
 
 from repro.core.errors import SolverError
 from repro.kernels import resolve_kernels
 
-#: Coefficient application order shared by the per-rank and stacked
-#: paths (and by :func:`~repro.operators.stencil_op.apply_stencil`);
-#: keeping it fixed is what makes the two engines bit-identical.
+#: Coefficient application order shared by the stacked path and
+#: :func:`~repro.operators.stencil_op.apply_stencil`; keeping it fixed
+#: is what makes the blocked and global applies bit-identical.
 _COEFF_ORDER = ("c", "n", "s", "e", "w", "ne", "nw", "se", "sw")
 
 
 class BlockedOperator:
-    """Per-rank stencil application bound to a decomposition.
+    """Stacked stencil application bound to a decomposition.
 
     Parameters
     ----------
@@ -49,60 +47,21 @@ class BlockedOperator:
         self.coeffs = coeffs
         self.decomp = decomp
         self.kernels = resolve_kernels(kernels)
-        # Slice the nine coefficient arrays once per rank.
-        self._local_coeffs = [
-            _LocalCoeffs(coeffs, block) for block in decomp.active_blocks
-        ]
-        # Stacked (p, bny, bnx) copies of the same slices, built lazily
-        # the first time a stacked field comes through.
-        self._stacked_coeffs = None
-
-    def _get_stacked_coeffs(self):
-        if self._stacked_coeffs is None:
-            self._stacked_coeffs = {
-                name: np.stack([getattr(lc, name)
-                                for lc in self._local_coeffs])
-                for name in _COEFF_ORDER
-            }
-        return self._stacked_coeffs
+        self._stacked_coeffs = {
+            name: decomp.stack_interiors(getattr(coeffs, name))
+            for name in _COEFF_ORDER
+        }
 
     def apply(self, x_field, out_field):
-        """``out = A @ x`` per rank; halos of ``x_field`` must be current.
+        """``out = A @ x`` over the whole stack in nine MAC passes.
 
-        Writes block interiors of ``out_field`` (its halos are left
-        stale; exchange afterwards if the next operation reads them).
-        Stacked fields dispatch to the vectorized stacked path.
+        Halos of ``x_field`` must be current.  Writes the interior
+        slots of ``out_field`` (its halos are left stale; exchange
+        afterwards if the next operation reads them).
         """
-        if (x_field.is_stacked and out_field.is_stacked
-                and self.decomp.is_uniform):
-            return self.apply_stacked(x_field, out_field)
         h = self.decomp.halo_width
-        kernels = self.kernels
-        for rank in range(self.decomp.num_active):
-            kernels.stencil_apply_local(
-                self._local_coeffs[rank],
-                x_field.local(rank),
-                h,
-                out_field.interior(rank),
-            )
-        return out_field
-
-    def apply_stacked(self, x_field, out_field):
-        """``out = A @ x`` over the whole stack in nine MAC passes."""
-        h = self.decomp.halo_width
-        bny, bnx = self.decomp.uniform_block_shape()
+        bny, bnx = self.decomp.max_block_shape()
         self.kernels.stencil_apply_stacked(
-            self._get_stacked_coeffs(), x_field.stack, h, bny, bnx,
+            self._stacked_coeffs, x_field.stack, h, bny, bnx,
             out_field.interior_stack())
         return out_field
-
-
-class _LocalCoeffs:
-    """The nine coefficient arrays sliced to one block's interior."""
-
-    __slots__ = ("c", "n", "s", "e", "w", "ne", "nw", "se", "sw")
-
-    def __init__(self, coeffs, block):
-        sl = block.slices
-        for name in self.__slots__:
-            setattr(self, name, getattr(coeffs, name)[sl])

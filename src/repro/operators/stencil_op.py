@@ -56,35 +56,6 @@ def apply_stencil(coeffs, x, out=None, kernels=None):
     return resolve_kernels(kernels).stencil_apply(coeffs, x, padded, out)
 
 
-def apply_stencil_local(coeffs, local, halo_width, out=None, kernels=None):
-    """``A @ x`` on one block's interior, reading neighbors from halos.
-
-    Parameters
-    ----------
-    coeffs:
-        :class:`StencilCoeffs` restricted to this block's interior (the
-        *true* operator rows, including couplings into the halo -- not
-        the block-diagonal approximation).
-    local:
-        Padded local array of shape ``(bny + 2h, bnx + 2h)`` with halos
-        already exchanged.
-    halo_width:
-        ``h``.
-    out:
-        Optional output array of shape ``(bny, bnx)``.
-
-    Returns
-    -------
-    The interior result, shape ``(bny, bnx)``.
-    """
-    h = halo_width
-    bny = local.shape[0] - 2 * h
-    bnx = local.shape[1] - 2 * h
-    if out is None:
-        out = np.empty((bny, bnx) + local.shape[2:], dtype=local.dtype)
-    return resolve_kernels(kernels).stencil_apply_local(coeffs, local, h, out)
-
-
 def residual(coeffs, x, b, out=None, kernels=None):
     """``b - A @ x`` (the solver's residual), vectorized."""
     ax = apply_stencil(coeffs, x, kernels=kernels)

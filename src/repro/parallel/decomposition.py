@@ -206,50 +206,39 @@ class Decomposition:
         return self._max_block_points
 
     # ------------------------------------------------------------------
-    # uniformity (enables the batched execution engine)
+    # the stacked layout
     # ------------------------------------------------------------------
     @property
     def is_uniform(self):
         """Whether every active block has the same ``(ny, nx)`` shape.
 
         Uniform decompositions (the common case when block counts divide
-        the grid evenly) allow same-shape per-rank tiles to be stacked
-        into one dense ``(p, bny, bnx)`` array -- the structure-of-arrays
-        layout the batched execution engine runs on.
+        the grid evenly) stack without padding; ragged ones are padded
+        to :meth:`max_block_shape` (see :meth:`stack_interiors`).
         """
         if self._is_uniform is None:
-            if not self.active_blocks:
-                self._is_uniform = False
-            else:
-                first = self.active_blocks[0]
-                self._is_uniform = all(
-                    b.ny == first.ny and b.nx == first.nx
-                    for b in self.active_blocks)
+            first = self.active_blocks[0]
+            self._is_uniform = all(
+                b.ny == first.ny and b.nx == first.nx
+                for b in self.active_blocks)
         return self._is_uniform
 
-    @property
-    def supports_batched(self):
-        """Whether the batched engine can execute this decomposition.
+    def stack_interiors(self, source):
+        """The active blocks' slices of a global array, stacked by rank.
 
-        Requires uniform block shapes *and* no land-eliminated blocks:
-        with eliminated blocks the per-rank path remains the reference
-        (the batched engine falls back cleanly).
+        Returns a ``(p, bny, bnx[, ...])`` copy of ``source[block.slices]``
+        with ``(bny, bnx) = max_block_shape()``: the execution layout
+        of every stacked mask and coefficient.  A smaller (ragged)
+        block sits in the leading corner of its slot and the padding
+        cells are zero, so padded points carry no mask, no stencil and
+        no preconditioner coefficients.
         """
-        return self.is_uniform and self.num_active == self.num_blocks
-
-    def uniform_block_shape(self):
-        """``(bny, bnx)`` shared by all active blocks.
-
-        Raises :class:`DecompositionError` if the decomposition is
-        ragged.
-        """
-        if not self.is_uniform:
-            raise DecompositionError(
-                "decomposition is ragged: active blocks have differing "
-                "shapes, so there is no uniform block shape"
-            )
-        first = self.active_blocks[0]
-        return first.ny, first.nx
+        bny, bnx = self.max_block_shape()
+        out = np.zeros((self.num_active, bny, bnx) + source.shape[2:],
+                       dtype=source.dtype)
+        for rank, block in enumerate(self.active_blocks):
+            out[rank, :block.ny, :block.nx] = source[block.slices]
+        return out
 
     def halo_words_per_exchange(self):
         """Words the critical-path rank sends per halo update.

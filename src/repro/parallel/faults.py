@@ -9,8 +9,7 @@ one rank's partial inside a global reduction, the Lanczos eigenvalue
 bounds handed to P-CSI, or the right-hand side itself -- and the test
 matrix (``tests/test_faults.py``, ``benchmarks/fault_smoke.py``) asserts
 every injection surfaces as a structured
-:class:`~repro.solvers.health.SolverDiagnosis` under **both** execution
-engines.
+:class:`~repro.solvers.health.SolverDiagnosis` on the virtual machine.
 
 Faults mirror failure modes real POP runs hit at scale: a dropped or
 reordered MPI message (halo corruption), a flaky node producing garbage
@@ -18,16 +17,14 @@ partial sums (reduction corruption), Lanczos bounds estimated from a
 different (or buggy) preconditioner configuration (eigenbound skew), and
 an upstream tendency blow-up (NaN in the right-hand side).
 
-Determinism and engine parity
------------------------------
+Determinism
+-----------
 Injectors hold no hidden global state: each counts the events it
 observes (halo rounds, reductions, estimations) and fires when its
 ``at``-th event arrives (every event from ``at`` on with
-``persistent=True``).  Both engines drive the hooks from the same
-logical event stream, and the corruption itself goes through
-layout-agnostic accessors (``BlockField.local`` views, per-rank partial
-lists), so an injected run stays bit-identical across engines -- which
-``tests/test_engine_parity.py`` checks.
+``persistent=True``).  The corruption goes through per-rank accessors
+(``BlockField.local`` views, per-rank partial lists), so an injected
+run is reproducible bit for bit.
 """
 
 import math

@@ -1,27 +1,23 @@
-"""Halo (ghost-cell) exchange over block-local arrays.
+"""Halo (ghost-cell) exchange over the stacked block layout.
 
-Each simulated rank owns one block, stored as a local array of shape
-``(bny + 2h, bnx + 2h)`` where ``h`` is the halo width (POP default 2).
-After a stencil operation, the halo rings must be refreshed from
-neighboring blocks before the next operation can read them -- that is
-POP's ``update_halo`` (Algorithm 1 step 6 / Algorithm 2 step 10 of the
-paper).
+Each simulated rank owns one block, stored with a halo ring of width
+``h`` (POP default 2).  After a stencil operation, the halo rings must
+be refreshed from neighboring blocks before the next operation can read
+them -- that is POP's ``update_halo`` (Algorithm 1 step 6 / Algorithm 2
+step 10 of the paper).
 
-Two implementations are provided and tested against each other:
+Every field lives in one dense ``(p, bny + 2h, bnx + 2h)`` stack, one
+slot per active block in rank order, with ``(bny, bnx)`` the largest
+block shape.  A ragged block occupies the leading corner of its slot;
+the padding beyond its own halo ring is kept at zero.  Eliminated
+all-land blocks have no slot at all.
 
-* :meth:`HaloExchanger.exchange` -- true point-to-point semantics: every
-  block copies edge strips directly from each of its eight neighbors
-  (four messages per rank in POP's counting, since corner data rides
-  along with the edge strips).
-* :meth:`HaloExchanger.exchange_via_global` -- a bulk-synchronous
-  shortcut that reassembles the global field and re-slices every block's
-  padded window from it.  Semantically identical under BSP, considerably
-  faster in this in-process simulation, and used by default for large
-  block counts.
-
-Out-of-domain halos (beyond the global grid edge, or adjacent to an
-eliminated all-land block) are filled with zeros: the closed lateral
-boundary of the barotropic operator.
+:meth:`HaloExchanger.exchange_stacked` refreshes every halo of the
+stack with one scatter of all interiors into a padded global scratch
+and one gather of every block's padded window out of it.  Out-of-domain
+halos (beyond the global grid edge, or adjacent to an eliminated
+all-land block) read zeros: the closed lateral boundary of the
+barotropic operator.
 """
 
 import numpy as np
@@ -32,102 +28,76 @@ from repro.core.errors import DecompositionError
 class BlockField:
     """Per-rank local arrays (with halos) for one distributed 2-D field.
 
-    Two storage layouts exist:
-
-    * **per-rank** (the default): ``locals_`` is a list of independent
-      arrays, one per rank -- works for any decomposition, including
-      ragged and land-eliminated ones.
-    * **stacked** (structure-of-arrays): all local arrays live in one
-      dense ``(num_ranks, bny + 2h, bnx + 2h)`` ndarray (``stack``) and
-      ``locals_`` holds *views* into it.  Only possible when every
-      active block has the same shape.  The per-rank accessors work
-      identically on both layouts; the batched execution engine
-      additionally operates on the whole stack with single vectorized
-      numpy calls.
+    All local arrays live in one dense ``(num_ranks, bny + 2h, bnx + 2h)``
+    ndarray (``stack``) -- the structure-of-arrays layout every engine
+    primitive runs on as single vectorized numpy calls.  The per-rank
+    accessors return views of each block's own window into it.
 
     Attributes
     ----------
     decomp:
         The :class:`~repro.parallel.decomposition.Decomposition` this
         field is distributed over.
-    locals_:
-        List indexed by rank of local arrays, each of shape
-        ``(block.ny + 2h, block.nx + 2h)``.
     stack:
-        The backing ``(num_ranks, bny + 2h, bnx + 2h)`` ndarray for
-        stacked fields, ``None`` for per-rank fields.
+        The backing ``(num_ranks, bny + 2h, bnx + 2h[, nrhs])`` ndarray.
     """
 
-    def __init__(self, decomp, locals_, stack=None):
+    def __init__(self, decomp, stack):
         self.decomp = decomp
-        self.locals_ = locals_
         self.stack = stack
 
     @classmethod
-    def zeros(cls, decomp, dtype=np.float64, stacked=False, nrhs=None):
+    def zeros(cls, decomp, dtype=np.float64, nrhs=None):
         """A zero-valued block field over ``decomp``.
 
-        ``stacked=True`` requests the structure-of-arrays layout and
-        requires a uniform decomposition.  ``nrhs`` adds a trailing
-        batch axis so the field holds that many independent RHS columns
-        (``None`` keeps the scalar 2-D layout).
+        ``nrhs`` adds a trailing batch axis so the field holds that many
+        independent RHS columns (``None`` keeps the scalar 2-D layout).
         """
         h = decomp.halo_width
+        bny, bnx = decomp.max_block_shape()
         trailing = () if nrhs is None else (int(nrhs),)
-        if stacked:
-            bny, bnx = decomp.uniform_block_shape()
-            stack = np.zeros(
-                (decomp.num_active, bny + 2 * h, bnx + 2 * h) + trailing,
-                dtype=dtype,
-            )
-            return cls(decomp, list(stack), stack=stack)
-        locals_ = [
-            np.zeros((b.ny + 2 * h, b.nx + 2 * h) + trailing, dtype=dtype)
-            for b in decomp.active_blocks
-        ]
-        return cls(decomp, locals_)
+        stack = np.zeros(
+            (decomp.num_active, bny + 2 * h, bnx + 2 * h) + trailing,
+            dtype=dtype,
+        )
+        return cls(decomp, stack)
 
     @property
     def nrhs(self):
         """Trailing batch width, or ``None`` for a scalar 2-D field."""
-        arr = self.stack if self.stack is not None else self.locals_[0]
-        base = 3 if self.stack is not None else 2
-        return arr.shape[base] if arr.ndim > base else None
+        return self.stack.shape[3] if self.stack.ndim > 3 else None
 
     @property
-    def is_stacked(self):
-        """Whether this field uses the stacked (SoA) layout."""
-        return self.stack is not None
+    def locals_(self):
+        """List indexed by rank of :meth:`local` views."""
+        return [self.local(rank) for rank in range(self.decomp.num_active)]
 
     def local(self, rank):
-        """The full padded local array of ``rank``."""
-        return self.locals_[rank]
+        """View of ``rank``'s padded local array, shape
+        ``(block.ny + 2h, block.nx + 2h[, nrhs])``."""
+        h = self.decomp.halo_width
+        block = self.decomp.active_blocks[rank]
+        return self.stack[rank, :block.ny + 2 * h, :block.nx + 2 * h]
 
     def interior(self, rank):
         """View of ``rank``'s owned (non-halo) points."""
         h = self.decomp.halo_width
         block = self.decomp.active_blocks[rank]
-        return self.locals_[rank][h:h + block.ny, h:h + block.nx]
+        return self.stack[rank, h:h + block.ny, h:h + block.nx]
 
     def interior_stack(self):
-        """View of all ranks' interiors, shape ``(p, bny, bnx[, nrhs])``.
+        """View of all ranks' interior slots, shape ``(p, bny, bnx[, nrhs])``.
 
-        Only available on stacked fields.
+        On a ragged decomposition a smaller block's slot also covers
+        part of its own halo ring and zero padding.
         """
-        if self.stack is None:
-            raise DecompositionError(
-                "interior_stack() requires a stacked BlockField"
-            )
         h = self.decomp.halo_width
         return self.stack[:, h:self.stack.shape[1] - h,
                           h:self.stack.shape[2] - h]
 
     def copy(self):
-        """Deep copy of the block field (layout preserved)."""
-        if self.stack is not None:
-            stack = self.stack.copy()
-            return BlockField(self.decomp, list(stack), stack=stack)
-        return BlockField(self.decomp, [arr.copy() for arr in self.locals_])
+        """Deep copy of the block field."""
+        return BlockField(self.decomp, self.stack.copy())
 
 
 class HaloExchanger:
@@ -142,29 +112,19 @@ class HaloExchanger:
                     f"block {block.index} is {block.ny}x{block.nx}, smaller than "
                     f"the halo width {h}; choose fewer blocks or a thinner halo"
                 )
-        # Precompute, per rank, the neighbor block in each direction so the
-        # per-exchange loop does no lattice lookups.
-        self._neighbor_ranks = []
-        for block in decomp.active_blocks:
-            neigh = decomp.neighbors(block)
-            self._neighbor_ranks.append({
-                d: (n.rank if (n is not None and n.is_active) else None)
-                for d, n in neigh.items()
-            })
         # Lazily-built gather/scatter index maps for the stacked
-        # (structure-of-arrays) exchange, plus a reusable padded-global
-        # scratch buffer keyed by dtype.
+        # exchange, plus a reusable padded-global scratch buffer keyed
+        # by dtype.
         self._stacked_maps = None
         self._padded_scratch = {}
 
     # ------------------------------------------------------------------
-    def scatter(self, global_field, dtype=None, stacked=False):
+    def scatter(self, global_field, dtype=None):
         """Distribute a global ``(ny, nx[, nrhs])`` array into a BlockField.
 
-        Halo rings are zero-initialized; call an exchange method to fill
-        them.  ``stacked=True`` produces a structure-of-arrays field
-        (uniform decompositions only).  A 3-D input distributes every
-        RHS column at once into a trailing-axis field.
+        Halo rings are zero-initialized; call :meth:`exchange_stacked`
+        to fill them.  A 3-D input distributes every RHS column at once
+        into a trailing-axis field.
         """
         decomp = self.decomp
         if global_field.shape[:2] != (decomp.ny, decomp.nx):
@@ -174,7 +134,7 @@ class HaloExchanger:
             )
         nrhs = global_field.shape[2] if global_field.ndim == 3 else None
         field = BlockField.zeros(decomp, dtype=dtype or global_field.dtype,
-                                 stacked=stacked, nrhs=nrhs)
+                                 nrhs=nrhs)
         for rank, block in enumerate(decomp.active_blocks):
             field.interior(rank)[...] = global_field[block.slices]
         return field
@@ -185,133 +145,59 @@ class HaloExchanger:
         Points belonging to eliminated land blocks get ``fill``.
         """
         decomp = self.decomp
-        trailing = field.locals_[0].shape[2:]
-        out = np.full((decomp.ny, decomp.nx) + trailing, fill,
-                      dtype=dtype or field.locals_[0].dtype)
+        out = np.full((decomp.ny, decomp.nx) + field.stack.shape[3:], fill,
+                      dtype=dtype or field.stack.dtype)
         for rank, block in enumerate(decomp.active_blocks):
             out[block.slices] = field.interior(rank)
         return out
 
     # ------------------------------------------------------------------
-    def exchange(self, field):
-        """Point-to-point halo update (direct neighbor strip copies)."""
-        decomp = self.decomp
-        h = decomp.halo_width
-        for rank, block in enumerate(decomp.active_blocks):
-            local = field.local(rank)
-            bny, bnx = block.ny, block.nx
-            neigh = self._neighbor_ranks[rank]
-
-            # --- edges -------------------------------------------------
-            # north halo rows <- north neighbor's southernmost interior rows
-            self._fill_edge(field, local[h + bny:h + bny + h, h:h + bnx],
-                            neigh["n"], lambda nb, nh: nb[nh:2 * nh, nh:nb.shape[1] - nh])
-            # south halo rows <- south neighbor's northernmost interior rows
-            self._fill_edge(field, local[0:h, h:h + bnx],
-                            neigh["s"], lambda nb, nh: nb[nb.shape[0] - 2 * nh:nb.shape[0] - nh,
-                                                          nh:nb.shape[1] - nh])
-            # east halo cols <- east neighbor's westernmost interior cols
-            self._fill_edge(field, local[h:h + bny, h + bnx:h + bnx + h],
-                            neigh["e"], lambda nb, nh: nb[nh:nb.shape[0] - nh, nh:2 * nh])
-            # west halo cols <- west neighbor's easternmost interior cols
-            self._fill_edge(field, local[h:h + bny, 0:h],
-                            neigh["w"], lambda nb, nh: nb[nh:nb.shape[0] - nh,
-                                                          nb.shape[1] - 2 * nh:nb.shape[1] - nh])
-
-            # --- corners -----------------------------------------------
-            self._fill_edge(field, local[h + bny:h + bny + h, h + bnx:h + bnx + h],
-                            neigh["ne"], lambda nb, nh: nb[nh:2 * nh, nh:2 * nh])
-            self._fill_edge(field, local[h + bny:h + bny + h, 0:h],
-                            neigh["nw"], lambda nb, nh: nb[nh:2 * nh,
-                                                           nb.shape[1] - 2 * nh:nb.shape[1] - nh])
-            self._fill_edge(field, local[0:h, h + bnx:h + bnx + h],
-                            neigh["se"], lambda nb, nh: nb[nb.shape[0] - 2 * nh:nb.shape[0] - nh,
-                                                           nh:2 * nh])
-            self._fill_edge(field, local[0:h, 0:h],
-                            neigh["sw"], lambda nb, nh: nb[nb.shape[0] - 2 * nh:nb.shape[0] - nh,
-                                                           nb.shape[1] - 2 * nh:nb.shape[1] - nh])
-        return field
-
-    def _fill_edge(self, field, dest, neighbor_rank, take):
-        h = self.decomp.halo_width
-        if neighbor_rank is None:
-            dest[...] = 0.0
-        else:
-            dest[...] = take(field.local(neighbor_rank), h)
-
-    # ------------------------------------------------------------------
-    def exchange_via_global(self, field):
-        """Bulk-synchronous halo update through a padded global assembly.
-
-        Produces bit-identical halos to :meth:`exchange` (asserted by the
-        test suite) but costs two block copies per rank instead of eight
-        strip copies, which matters when simulating thousands of ranks.
-        """
-        decomp = self.decomp
-        h = decomp.halo_width
-        padded = np.zeros(
-            (decomp.ny + 2 * h, decomp.nx + 2 * h)
-            + field.locals_[0].shape[2:],
-            dtype=field.locals_[0].dtype)
-        for rank, block in enumerate(decomp.active_blocks):
-            padded[h + block.j0:h + block.j1, h + block.i0:h + block.i1] = \
-                field.interior(rank)
-        for rank, block in enumerate(decomp.active_blocks):
-            field.local(rank)[...] = padded[
-                block.j0:block.j1 + 2 * h, block.i0:block.i1 + 2 * h
-            ]
-        return field
-
-    # ------------------------------------------------------------------
     def _stacked_index_maps(self):
         """Flat index maps driving the stacked halo exchange.
 
-        Returns ``(scatter_idx, gather_idx)``:
+        Returns ``(scatter_idx, gather_idx)`` into a flat scratch that
+        holds the padded ``(ny + 2h, nx + 2h)`` global field followed by
+        two spare cells, a *sink* and a *zero*:
 
-        * ``scatter_idx`` -- shape ``(p, bny, bnx)``: for each stacked
-          interior point, its flat position in the padded
-          ``(ny + 2h, nx + 2h)`` global scratch.
+        * ``scatter_idx`` -- shape ``(p, bny, bnx)``: for each cell of
+          the interior slots, its global position, or the sink when the
+          cell is not part of that block's interior (ragged padding).
         * ``gather_idx`` -- shape ``(p, bny + 2h, bnx + 2h)``: for each
-          stacked local point (halos included), its flat position in the
-          same scratch.
+          cell of the stack, its position in the padded global window
+          of its block, or the zero cell when it lies outside that
+          window.
 
-        Built once; both maps turn the two per-rank copy loops of
-        :meth:`exchange_via_global` into one fancy-indexing scatter and
-        one fancy-indexing gather over the whole stack.
+        The zero cell is never written, so padding reads back as zero
+        on every exchange.
         """
         if self._stacked_maps is None:
             decomp = self.decomp
             h = decomp.halo_width
-            bny, bnx = decomp.uniform_block_shape()
+            bny, bnx = decomp.max_block_shape()
             width = decomp.nx + 2 * h
+            sink = (decomp.ny + 2 * h) * width
+            zero = sink + 1
             p = decomp.num_active
-            scatter_idx = np.empty((p, bny, bnx), dtype=np.intp)
-            gather_idx = np.empty((p, bny + 2 * h, bnx + 2 * h),
-                                  dtype=np.intp)
+            scatter_idx = np.full((p, bny, bnx), sink, dtype=np.intp)
+            gather_idx = np.full((p, bny + 2 * h, bnx + 2 * h), zero,
+                                 dtype=np.intp)
             for rank, block in enumerate(decomp.active_blocks):
                 jj = np.arange(h + block.j0, h + block.j1)[:, None]
                 ii = np.arange(h + block.i0, h + block.i1)[None, :]
-                scatter_idx[rank] = jj * width + ii
+                scatter_idx[rank, :block.ny, :block.nx] = jj * width + ii
                 jj = np.arange(block.j0, block.j1 + 2 * h)[:, None]
                 ii = np.arange(block.i0, block.i1 + 2 * h)[None, :]
-                gather_idx[rank] = jj * width + ii
+                gather_idx[rank, :block.ny + 2 * h, :block.nx + 2 * h] = \
+                    jj * width + ii
             self._stacked_maps = (scatter_idx, gather_idx)
         return self._stacked_maps
 
     def exchange_stacked(self, field):
-        """Stacked halo update: two fancy-indexing operations total.
+        """Halo update of the whole stack: two fancy-indexing operations.
 
-        Bit-identical to :meth:`exchange_via_global` (same values move
-        through the same padded global assembly), but the per-rank copy
-        loops are replaced by one scatter of all interiors into a reused
-        flat scratch and one gather of all padded windows out of it.
-        Requires a stacked :class:`BlockField`.
+        One scatter of all interiors into a reused flat scratch and one
+        gather of all padded windows out of it -- no per-rank loop.
         """
-        if not field.is_stacked:
-            raise DecompositionError(
-                "exchange_stacked requires a stacked BlockField; "
-                "use exchange/exchange_via_global for per-rank fields"
-            )
         decomp = self.decomp
         h = decomp.halo_width
         scatter_idx, gather_idx = self._stacked_index_maps()
@@ -320,11 +206,12 @@ class HaloExchanger:
         key = (dtype.str, trailing)
         scratch = self._padded_scratch.get(key)
         if scratch is None:
-            # Out-of-domain positions stay zero forever: the scatter
-            # below only ever writes interior positions, so the border
-            # ring (the closed lateral boundary) never needs re-zeroing.
+            # Out-of-domain positions and the zero cell stay zero
+            # forever: the scatter below only ever writes interior
+            # positions and the sink, so the border ring (the closed
+            # lateral boundary) never needs re-zeroing.
             scratch = np.zeros(
-                ((decomp.ny + 2 * h) * (decomp.nx + 2 * h),) + trailing,
+                ((decomp.ny + 2 * h) * (decomp.nx + 2 * h) + 2,) + trailing,
                 dtype=dtype)
             self._padded_scratch[key] = scratch
         scratch[scatter_idx] = field.interior_stack()

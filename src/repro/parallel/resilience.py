@@ -37,7 +37,8 @@ both, so neither requires a global restart:
 Replicas restore bit-identically (deep copies of the exact float
 state), so a solve that survives an injected fault produces the same
 iterate, byte for byte, as an undisturbed run -- the property
-``tests/test_resilience.py`` pins across both engines.
+``tests/test_resilience.py`` pins on uniform and ragged,
+land-eliminated layouts.
 """
 
 import time
@@ -224,8 +225,8 @@ class ResilienceRuntime:
         if vm is None:
             raise SolverError(
                 "resilience requires a distributed context over a "
-                "VirtualMachine (engine 'perrank' or 'batched'); the "
-                "serial context has no ranks to replicate")
+                "VirtualMachine; the serial context has no ranks to "
+                "replicate")
         self.policy = policy
         self.context = context
         self.vm = vm
@@ -245,10 +246,9 @@ class ResilienceRuntime:
         self._last_capture = None
         self._matvecs = 0
         self._rowsum = None
-        self._rowsum_stack = None
         self._bnorm = None
         self._state_words = None
-        self._uniform = None
+        self._ring_groups = None
         self._intercepted = set()
 
     @classmethod
@@ -418,34 +418,21 @@ class ResilienceRuntime:
         than as ``local - interior``.
         """
         h = self.vm.decomp.halo_width
-        locals_ = [field.local(rank) for rank in range(self.vm.num_ranks)]
-        if self._uniform is None:
-            # Block-shape uniformity is a property of the decomposition
-            # alone (a field's RHS width is constant across ranks), so
-            # one scan settles it for every field of this solve.
-            shape = locals_[0].shape[:2]
-            self._uniform = all(loc.shape[:2] == shape for loc in locals_)
-        if self._uniform:
-            # Uniform decomposition: one stacked reduction instead of a
-            # python loop over ranks.  Each rank's slice occupies the
-            # same contiguous layout it had standalone, so the per-rank
-            # pairwise summation order -- and hence the checksum -- is
-            # unchanged.  This keeps the halo check O(1) numpy calls at
-            # the 256-rank strong-scaling limit the paper targets.
-            stack = np.stack(locals_)
-            axes = (1, 2)
-            return (stack[:, :h].sum(axis=axes)
-                    + stack[:, -h:].sum(axis=axes)
-                    + stack[:, h:-h, :h].sum(axis=axes)
-                    + stack[:, h:-h, -h:].sum(axis=axes))
-        sums = []
-        for local in locals_:
-            axes = (0, 1)
-            sums.append(local[:h].sum(axis=axes)
-                        + local[-h:].sum(axis=axes)
-                        + local[h:-h, :h].sum(axis=axes)
-                        + local[h:-h, -h:].sum(axis=axes))
-        return np.asarray(sums)
+        if self._ring_groups is None:
+            self._ring_groups = _shape_groups(self.vm.decomp)
+        stack = field.stack
+        sums = np.empty(stack.shape[:1] + stack.shape[3:])
+        axes = (1, 2)
+        # One stacked reduction per block shape (a single one on a
+        # uniform decomposition) keeps the halo check O(1) numpy calls
+        # at the 256-rank strong-scaling limit the paper targets.
+        for (ny, nx), ranks in self._ring_groups:
+            win = stack[ranks, :ny + 2 * h, :nx + 2 * h]
+            sums[ranks] = (win[:, :h].sum(axis=axes)
+                           + win[:, -h:].sum(axis=axes)
+                           + win[:, h:-h, :h].sum(axis=axes)
+                           + win[:, h:-h, -h:].sum(axis=axes))
+        return sums
 
     def pre_exchange(self, field):
         """Checksum the freshly exchanged halos (the sender's truth)."""
@@ -519,19 +506,14 @@ class ResilienceRuntime:
         t0 = time.perf_counter()
         snap = ledger.snapshot()
         true_r = ctx.residual(state["b"], state["x"])
-        stack_true, _ = self._interior_stack(true_r)
-        stack_rec, _ = self._interior_stack(state["r"])
-        if stack_true is not None and stack_rec is not None:
-            # Uniform blocks: one stacked reduction for the drift norm
-            # (both residuals come from the same masked pipeline, so
-            # land cells cancel exactly).  One allreduce on the wire.
-            drift = stack_true - stack_rec
-            dnorm = np.asarray(np.sqrt(np.sum(drift * drift,
-                                              axis=(0, 1, 2))))
-            self.vm.ledger.record_allreduce("resilience", words=1)
-        else:
-            diff = ctx._sub(true_r, state["r"])
-            dnorm = np.asarray(ctx.norm2(diff))
+        # One stacked reduction for the drift norm, one allreduce on the
+        # wire.  The ocean mask drops the cells of a ragged block's slot
+        # that are not its interior; on interior cells it is exact.
+        mask = self.vm.mask_stack
+        drift = true_r.interior_stack() - state["r"].interior_stack()
+        drift *= mask if drift.ndim == 3 else mask[..., None]
+        dnorm = np.asarray(np.sqrt(np.sum(drift * drift, axis=(0, 1, 2))))
+        self.vm.ledger.record_allreduce("resilience", words=1)
         if self._bnorm is None:
             # ``b`` is loop-invariant: one reduction for the whole solve.
             self._bnorm = np.asarray(ctx.norm2(state["b"]))
@@ -556,62 +538,25 @@ class ResilienceRuntime:
             # Fill interior halos directly (domain boundary stays 0);
             # the raw exchanger skips the ledger and the fault hooks --
             # building the checker must not itself be injectable.
-            vm.exchanger.exchange_via_global(ones)
+            vm.exchanger.exchange_stacked(ones)
             out = vm.zeros()
             self.context.operator.apply(ones, out)
-            self._rowsum = [np.asarray(out.interior(rank)).copy()
-                            for rank in range(vm.num_ranks)]
-            shape = self._rowsum[0].shape
-            if all(w.shape == shape for w in self._rowsum):
-                self._rowsum_stack = np.stack(self._rowsum)
+            self._rowsum = out.interior_stack().copy()
             self.vm.ledger.record_flops("resilience",
                                         9 * vm.max_block_points)
         return self._rowsum
 
-    def _interior_stack(self, field):
-        """Interiors stacked over ranks, or ``None`` when non-uniform."""
-        interiors = [field.interior(rank)
-                     for rank in range(self.vm.num_ranks)]
-        if self._uniform is None:
-            shape = interiors[0].shape[:2]
-            self._uniform = all(a.shape[:2] == shape for a in interiors)
-        if self._uniform:
-            return np.stack(interiors), interiors
-        return None, interiors
-
     def _interior_sum(self, field):
         """Sum of all block interiors; per-column for multi-RHS."""
-        stack, interiors = self._interior_stack(field)
-        if stack is not None:
-            return stack.sum(axis=(0, 1, 2))
-        width = field.nrhs
-        total = 0.0 if width is None else np.zeros(width)
-        for a in interiors:
-            total = total + a.sum(axis=(0, 1))
-        return total
+        return field.interior_stack().sum(axis=(0, 1, 2))
 
     def _weighted_sum(self, rowsum, field, absolute=False):
         """``dot(A 1, field)`` per column, from the cached row sums."""
-        width = field.nrhs
-        stack, interiors = self._interior_stack(field)
-        if stack is not None and self._rowsum_stack is not None:
-            w = self._rowsum_stack
-            if width is not None:
-                w = w[..., None]
-            prod = w * stack
-            if absolute:
-                prod = np.abs(prod)
-            return prod.sum(axis=(0, 1, 2))
-        total = 0.0 if width is None else np.zeros(width)
-        for rank, a in enumerate(interiors):
-            w = rowsum[rank]
-            if width is not None:
-                w = w[..., None]
-            prod = w * a
-            if absolute:
-                prod = np.abs(prod)
-            total = total + prod.sum(axis=(0, 1))
-        return total
+        w = rowsum if field.nrhs is None else rowsum[..., None]
+        prod = w * field.interior_stack()
+        if absolute:
+            prod = np.abs(prod)
+        return prod.sum(axis=(0, 1, 2))
 
     # ------------------------------------------------------------------
     def summary(self):
@@ -624,3 +569,18 @@ class ResilienceRuntime:
             "last_capture_iteration": self._last_capture,
             "recoveries": list(self.recoveries),
         }
+
+
+def _shape_groups(decomp):
+    """``[((ny, nx), ranks), ...]``: active ranks grouped by block shape.
+
+    ``ranks`` is ``slice(None)`` on a uniform decomposition (so stack
+    indexing stays a view) and an index array otherwise.
+    """
+    if decomp.is_uniform:
+        first = decomp.active_blocks[0]
+        return [((first.ny, first.nx), slice(None))]
+    groups = {}
+    for rank, block in enumerate(decomp.active_blocks):
+        groups.setdefault((block.ny, block.nx), []).append(rank)
+    return [(shape, np.asarray(ranks)) for shape, ranks in groups.items()]

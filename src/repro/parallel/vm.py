@@ -14,38 +14,27 @@ Event accounting follows the bulk-synchronous convention documented in
 :mod:`repro.parallel.events`: flop counts are for the critical-path rank
 (the one owning the largest block).
 
-Execution engines
------------------
-Two engines execute these primitives:
-
-* ``"perrank"`` -- every operation is a Python-level loop over simulated
-  ranks.  Works for any decomposition and serves as the bit-identical
-  reference oracle.
-* ``"batched"`` -- the structure-of-arrays engine: per-rank tiles are
-  stacked into one dense ``(p, bny + 2h, bnx + 2h)`` ndarray and every
-  primitive runs as a single vectorized numpy call over the stack.
-  Requires a uniform decomposition with no land-eliminated blocks.
-
-``engine="auto"`` (the default) picks the batched engine whenever the
-decomposition supports it and falls back to the per-rank engine
-otherwise (ragged or land-eliminated decompositions).  Both engines
-produce bit-identical results and identical event-ledger streams -- the
-batching is an execution detail, not a cost-model change.
+One stacked engine
+------------------
+Every primitive runs as a single vectorized numpy call over the
+structure-of-arrays layout of :class:`~repro.parallel.halo.BlockField`:
+one dense ``(p, bny + 2h, bnx + 2h)`` stack holding the active blocks
+only, in rank order.  Eliminated all-land blocks are not in the stack
+(their halo contribution reads as zero); ragged blocks are padded to
+the largest block shape with zero mask, zero coefficients and zero
+halo.  Uniform decompositions need no padding.  The stacking is an
+execution detail, not a cost-model change: the event ledger records
+the same critical-path counts as the serial context predicts.
 """
 
 import numpy as np
 
-from repro.core.errors import DecompositionError
 from repro.parallel.events import EventLedger
 from repro.parallel.halo import BlockField, HaloExchanger
 from repro.parallel.reduction import (
     masked_global_sum_blocks,
-    masked_local_dot,
     masked_partials_stacked,
 )
-
-#: Valid values of the ``engine`` constructor argument.
-ENGINES = ("auto", "batched", "perrank")
 
 
 class VirtualMachine:
@@ -61,16 +50,6 @@ class VirtualMachine:
     ledger:
         Optional shared :class:`EventLedger`; a fresh one is created if
         omitted.
-    fast_exchange:
-        For the per-rank engine: use the bulk-synchronous
-        global-assembly halo update (identical result, fewer
-        Python-level copies).  The direct point-to-point path remains
-        available for validation.
-    engine:
-        ``"auto"`` (default), ``"batched"`` or ``"perrank"`` -- see the
-        module docstring.  Requesting ``"batched"`` on a decomposition
-        that cannot be batched (ragged or land-eliminated) falls back
-        cleanly to the per-rank engine.
     faults:
         Optional iterable of :class:`~repro.parallel.faults.FaultInjector`
         instances to attach (see :meth:`inject`).  Faults observe the
@@ -78,32 +57,21 @@ class VirtualMachine:
         -- the test harness for the solver guardrails.
     """
 
-    def __init__(self, decomp, mask=None, ledger=None, fast_exchange=True,
-                 engine="auto", faults=None):
+    #: The execution engine: always the stacked layout (see the module
+    #: docstring); reported in benchmark and service environments.
+    engine = "batched"
+
+    def __init__(self, decomp, mask=None, ledger=None, faults=None):
         self.decomp = decomp
         self.exchanger = HaloExchanger(decomp)
         self.ledger = ledger if ledger is not None else EventLedger()
-        self.fast_exchange = fast_exchange
-        if engine not in ENGINES:
-            raise DecompositionError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        self.requested_engine = engine
-        if engine == "perrank":
-            self.engine = "perrank"
-        else:
-            self.engine = "batched" if decomp.supports_batched else "perrank"
         if mask is None:
             mask = np.ones((decomp.ny, decomp.nx), dtype=bool)
         self.mask = np.asarray(mask, dtype=bool)
-        # Per-rank interior mask views as float (for masking multiplies).
-        self._mask_blocks = [
-            self.mask[block.slices].astype(np.float64)
-            for block in decomp.active_blocks
-        ]
-        self._mask_stack = (
-            np.stack(self._mask_blocks) if self.engine == "batched" else None
-        )
+        # Stacked interior masks as float (for masking multiplies);
+        # ragged padding is zero.
+        self._mask_stack = decomp.stack_interiors(self.mask).astype(
+            np.float64)
         self._max_points = decomp.max_block_points()
         self.faults = []
         self._halo_rounds = 0
@@ -132,18 +100,14 @@ class VirtualMachine:
         """Grid points on the critical-path rank."""
         return self._max_points
 
-    @property
-    def is_batched(self):
-        """Whether the batched (structure-of-arrays) engine is active."""
-        return self.engine == "batched"
-
     def local_mask(self, rank):
         """Interior ocean mask (float 0/1 array) of ``rank``."""
-        return self._mask_blocks[rank]
+        block = self.decomp.active_blocks[rank]
+        return self._mask_stack[rank, :block.ny, :block.nx]
 
     @property
     def mask_stack(self):
-        """Stacked ``(p, bny, bnx)`` float interior masks (batched only)."""
+        """Stacked ``(p, bny, bnx)`` float interior masks."""
         return self._mask_stack
 
     # ------------------------------------------------------------------
@@ -151,7 +115,7 @@ class VirtualMachine:
     # ------------------------------------------------------------------
     def scatter(self, global_field):
         """Distribute a global field into block-local form (halos zero)."""
-        return self.exchanger.scatter(global_field, stacked=self.is_batched)
+        return self.exchanger.scatter(global_field)
 
     def gather(self, field, fill=0.0):
         """Assemble a global field from block interiors."""
@@ -163,8 +127,7 @@ class VirtualMachine:
         ``nrhs`` adds a trailing batch axis holding that many RHS
         columns.
         """
-        return BlockField.zeros(self.decomp, dtype=dtype,
-                                stacked=self.is_batched, nrhs=nrhs)
+        return BlockField.zeros(self.decomp, dtype=dtype, nrhs=nrhs)
 
     # ------------------------------------------------------------------
     # communication
@@ -176,12 +139,7 @@ class VirtualMachine:
         *same* exchange -- one latency charge, ``nrhs``-fold payload --
         which is exactly the amortization batched solves buy.
         """
-        if self.is_batched and field.is_stacked:
-            self.exchanger.exchange_stacked(field)
-        elif self.fast_exchange:
-            self.exchanger.exchange_via_global(field)
-        else:
-            self.exchanger.exchange(field)
+        self.exchanger.exchange_stacked(field)
         width = field.nrhs or 1
         self.ledger.record_halo(
             phase,
@@ -223,18 +181,11 @@ class VirtualMachine:
         column's pairwise summation blocking -- and therefore its bits
         -- matches the single-RHS reduction exactly.
         """
-        if self.is_batched and a.is_stacked and b.is_stacked:
-            return masked_partials_stacked(
-                np.ascontiguousarray(a.interior_stack()[..., j]),
-                np.ascontiguousarray(b.interior_stack()[..., j]),
-                self._mask_stack,
-            )
-        return [
-            masked_local_dot(np.ascontiguousarray(a.interior(r)[..., j]),
-                             np.ascontiguousarray(b.interior(r)[..., j]),
-                             self._mask_blocks[r])
-            for r in range(self.num_ranks)
-        ]
+        return masked_partials_stacked(
+            np.ascontiguousarray(a.interior_stack()[..., j]),
+            np.ascontiguousarray(b.interior_stack()[..., j]),
+            self._mask_stack,
+        )
 
     def _global_dot_multi(self, a, b, phase):
         """Per-column masked inner products, one fused all-reduce.
@@ -273,16 +224,7 @@ class VirtualMachine:
         """
         if a.nrhs is not None:
             return self._global_dot_multi(a, b, phase)
-        if self.is_batched and a.is_stacked and b.is_stacked:
-            partials = masked_partials_stacked(
-                a.interior_stack(), b.interior_stack(), self._mask_stack
-            )
-        else:
-            partials = [
-                masked_local_dot(a.interior(r), b.interior(r),
-                                 self._mask_blocks[r])
-                for r in range(self.num_ranks)
-            ]
+        partials = self._pair_partials(a, b)
         # Paper convention (Eq. 2): the product-and-sum is computation
         # (part of the 15 n^2), the masking multiply belongs to the
         # reduction cost (the 2 n^2 of T_g).
@@ -297,15 +239,9 @@ class VirtualMachine:
 
     def _pair_partials(self, a, b):
         """Rank-ordered partials of one scalar vector pair."""
-        if self.is_batched and a.is_stacked and b.is_stacked:
-            return masked_partials_stacked(
-                a.interior_stack(), b.interior_stack(), self._mask_stack
-            )
-        return [
-            masked_local_dot(a.interior(r), b.interior(r),
-                             self._mask_blocks[r])
-            for r in range(self.num_ranks)
-        ]
+        return masked_partials_stacked(
+            a.interior_stack(), b.interior_stack(), self._mask_stack
+        )
 
     def global_dot_block(self, xs, ys, phase="reduction"):
         """All pairwise masked inner products in **one** all-reduce.
@@ -385,23 +321,8 @@ class VirtualMachine:
                 out1[j] = masked_global_sum_blocks(p1)
                 out2[j] = masked_global_sum_blocks(p2)
             return out1, out2
-        if (self.is_batched and a1.is_stacked and b1.is_stacked
-                and a2.is_stacked and b2.is_stacked):
-            partials1 = masked_partials_stacked(
-                a1.interior_stack(), b1.interior_stack(), self._mask_stack
-            )
-            partials2 = masked_partials_stacked(
-                a2.interior_stack(), b2.interior_stack(), self._mask_stack
-            )
-        else:
-            partials1 = []
-            partials2 = []
-            for r in range(self.num_ranks):
-                m = self._mask_blocks[r]
-                partials1.append(
-                    masked_local_dot(a1.interior(r), b1.interior(r), m))
-                partials2.append(
-                    masked_local_dot(a2.interior(r), b2.interior(r), m))
+        partials1 = self._pair_partials(a1, b1)
+        partials2 = self._pair_partials(a2, b2)
         self.ledger.record_flops("computation", 2 * self._max_points)
         self.ledger.record_flops(phase, 2 * self._max_points)
         self.ledger.record_allreduce(phase, words=2)

@@ -5,8 +5,11 @@ to apply.  Solvers call it through one of two entry points:
 
 * :meth:`Preconditioner.apply_global` -- ``z = M^-1 r`` on a full
   ``(ny, nx)`` field (used by the serial solver context),
-* :meth:`Preconditioner.apply_block` -- the same restricted to one
-  simulated rank's interior (used by the distributed context).
+* :meth:`Preconditioner.apply_stack` -- the same on the stacked
+  ``(p, bny, bnx)`` block interiors of the distributed context's one
+  execution engine.  Ragged blocks are zero-padded to the largest
+  block shape; every stacked mask and coefficient is zero there, so
+  the padding cells of ``z`` come out zero.
 
 Every preconditioner in this package is *block-local or point-local*:
 applying it requires **no halo communication** (the defining property
@@ -62,23 +65,13 @@ class Preconditioner(abc.ABC):
         """``z = M^-1 r`` over the full grid.  ``z`` is masked (zero on land)."""
 
     @abc.abstractmethod
-    def apply_block(self, rank, r_interior, out=None):
-        """``z = M^-1 r`` restricted to ``rank``'s block interior."""
-
     def apply_stack(self, r_stack, out=None):
         """``z = M^-1 r`` on stacked interiors of shape ``(p, bny, bnx)``.
 
-        The batched execution engine's entry point: subclasses override
-        it with a fully vectorized implementation; this base fallback
-        loops over ranks through :meth:`apply_block`, so every
-        preconditioner works under both engines.  Results are
-        bit-identical to the per-rank loop by construction.
+        ``r_stack`` is laid out as
+        :meth:`~repro.parallel.decomposition.Decomposition.stack_interiors`
+        lays out a global field over :attr:`decomp`.
         """
-        if out is None:
-            out = np.empty_like(r_stack)
-        for rank in range(r_stack.shape[0]):
-            self.apply_block(rank, r_stack[rank], out=out[rank])
-        return out
 
     # ------------------------------------------------------------------
     # checkpoint hooks
@@ -126,16 +119,6 @@ class Preconditioner(abc.ABC):
     # ------------------------------------------------------------------
     # helpers shared by subclasses
     # ------------------------------------------------------------------
-    def _rank_block(self, rank):
-        """The :class:`Block` of ``rank`` (the whole grid if no decomp)."""
-        if self.decomp is None:
-            if rank not in (None, 0):
-                raise SolverError(
-                    f"preconditioner has no decomposition; rank {rank} undefined"
-                )
-            return None
-        return self.decomp.active_blocks[rank]
-
     def _max_block_points(self):
         if self.decomp is None:
             return self.stencil.shape[0] * self.stencil.shape[1]
@@ -144,17 +127,17 @@ class Preconditioner(abc.ABC):
     def _interior_stack(self, source):
         """Stack per-rank interior slices of a global array.
 
-        Returns a ``(p, bny, bnx)`` copy of ``source[block.slices]`` over
-        the active blocks; requires a uniform decomposition.  Used by
-        batched ``apply_stack`` overrides to pre-stack masks and
+        Returns the zero-padded ``(p, bny, bnx)`` copy of
+        ``source[block.slices]`` over the active blocks (see
+        :meth:`~repro.parallel.decomposition.Decomposition.stack_interiors`).
+        Used by ``apply_stack`` overrides to pre-stack masks and
         coefficients (cached by the callers).
         """
         if self.decomp is None:
             raise SolverError(
                 "stacked application requires a decomposition"
             )
-        return np.stack([source[b.slices]
-                         for b in self.decomp.active_blocks])
+        return self.decomp.stack_interiors(source)
 
     @staticmethod
     def _bcast(coeff, data):

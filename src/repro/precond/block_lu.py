@@ -127,34 +127,15 @@ class BlockLUPreconditioner(Preconditioner):
         out *= self._bcast(self._mask_f, out)
         return out
 
-    def apply_block(self, rank, r_interior, out=None):
-        block = self._rank_block(rank)
-        if block is None:
-            return self.apply_global(r_interior, out=out)
-        if out is None:
-            out = np.zeros_like(r_interior)
-        else:
-            out[...] = 0.0
-        for (trank, j0, j1, i0, i1), factor in zip(self._tiles, self._factors):
-            if trank != rank:
-                continue
-            y = r_interior[j0 - block.j0:j1 - block.j0, i0 - block.i0:i1 - block.i0]
-            out[j0 - block.j0:j1 - block.j0,
-                i0 - block.i0:i1 - block.i0] = self._solve_tile(factor, y)
-        out *= self._bcast(self._mask_f[block.slices], out)
-        return out
-
     def apply_stack(self, r_stack, out=None):
         """Stacked application: one pass over all tiles.
 
         LU back-substitution is inherently per-tile (scipy's ``splu``),
-        so the solve itself stays a loop; the win over the per-rank path
-        is visiting each tile exactly once instead of scanning the full
-        tile list once per rank, and masking the whole stack in one
-        multiply.
+        so the solve itself stays a loop over tiles; the whole stack is
+        masked in one multiply.
         """
-        if self.decomp is None:
-            return super().apply_stack(r_stack, out=out)
+        if self._mask_f_stack is None:
+            self._mask_f_stack = self._interior_stack(self._mask_f)
         if out is None:
             out = np.zeros_like(r_stack)
         else:
@@ -166,8 +147,6 @@ class BlockLUPreconditioner(Preconditioner):
                         i0 - block.i0:i1 - block.i0]
             out[rank, j0 - block.j0:j1 - block.j0,
                 i0 - block.i0:i1 - block.i0] = self._solve_tile(factor, y)
-        if self._mask_f_stack is None:
-            self._mask_f_stack = self._interior_stack(self._mask_f)
         out *= self._bcast(self._mask_f_stack, out)
         return out
 

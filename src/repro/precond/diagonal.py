@@ -42,18 +42,8 @@ class DiagonalPreconditioner(Preconditioner):
         np.multiply(r, self._bcast(self._inv_diag, r), out=out)
         return out
 
-    def apply_block(self, rank, r_interior, out=None):
-        block = self._rank_block(rank)
-        inv = self._inv_diag if block is None else self._inv_diag[block.slices]
-        if out is None:
-            out = np.empty_like(r_interior)
-        np.multiply(r_interior, self._bcast(inv, r_interior), out=out)
-        return out
-
     def apply_stack(self, r_stack, out=None):
         """One vectorized reciprocal-diagonal multiply over the stack."""
-        if self.decomp is None:
-            return super().apply_stack(r_stack, out=out)
         if self._inv_diag_stack is None:
             self._inv_diag_stack = self._interior_stack(self._inv_diag)
         if out is None:

@@ -556,7 +556,6 @@ class EVPBlockPreconditioner(Preconditioner):
         self._gather_idx = self._build_gather_indices()
         self._stack_idx = None
         self._stack_ident = None
-        self._block_idx = None
         self._mask_f_stack = None
         self._rank_solve_flops = self._accumulate_rank_flops(
             EVPTileEngine.solve_flops_per_tile)
@@ -692,61 +691,13 @@ class EVPBlockPreconditioner(Preconditioner):
         out *= self._bcast(self._mask_f, out)
         return out
 
-    def _build_block_indices(self):
-        """Per-rank gather/scatter programs for :meth:`apply_block`.
-
-        For each rank and shape group: the batch positions of the
-        rank's tiles plus ``(n, my, mx)`` index arrays into the rank's
-        interior, so one application moves all of a rank's tiles with
-        two fancy-indexing operations instead of a per-tile Python
-        loop.  Tiles are disjoint, so the scatters never collide and
-        the result matches the per-tile loop bit for bit.
-        """
-        blocks = self.decomp.active_blocks
-        per_rank = {rank: [] for rank in range(len(blocks))}
-        for shape, tile_indices in self._groups.items():
-            my, mx = shape
-            by_rank = {}
-            for pos, tidx in enumerate(tile_indices):
-                rank, j0, j1, i0, i1 = self._tiles[tidx]
-                by_rank.setdefault(rank, []).append((pos, j0, j1, i0, i1))
-            for rank, entries in by_rank.items():
-                block = blocks[rank]
-                n = len(entries)
-                positions = np.empty(n, dtype=np.intp)
-                jj = np.empty((n, my, mx), dtype=np.intp)
-                ii = np.empty((n, my, mx), dtype=np.intp)
-                for t, (pos, j0, j1, i0, i1) in enumerate(entries):
-                    positions[t] = pos
-                    jj[t] = np.arange(j0 - block.j0, j1 - block.j0)[:, None]
-                    ii[t] = np.arange(i0 - block.i0, i1 - block.i0)[None, :]
-                per_rank[rank].append((shape, positions, jj, ii))
-        return per_rank
-
-    def apply_block(self, rank, r_interior, out=None):
-        block = self._rank_block(rank)
-        if block is None:
-            return self.apply_global(r_interior, out=out)
-        if self._block_idx is None:
-            self._block_idx = self._build_block_indices()
-        if out is None:
-            out = np.zeros_like(r_interior)
-        else:
-            out[...] = 0.0
-        for shape, positions, jj, ii in self._block_idx[rank]:
-            engine = self._engines[shape]
-            y = np.zeros((engine.batch,) + shape + r_interior.shape[2:])
-            y[positions] = r_interior[jj, ii]
-            x = engine.solve(y)
-            out[jj, ii] = x[positions]
-        out *= self._bcast(self._mask_f[block.slices], out)
-        return out
-
     def _build_stack_indices(self):
         """Per shape-group ``(RR, JJ, II)`` index triples of shape
         ``(B, my, mx)`` addressing stacked rank interiors, so the
         batched engine gathers/scatters every tile of a group from/to
-        the ``(p, bny, bnx)`` stack in one fancy-indexing operation."""
+        the ``(p, bny, bnx)`` stack in one fancy-indexing operation.
+        Tile indices are block-relative, so ragged padding is never
+        gathered."""
         blocks = self.decomp.active_blocks
         out = {}
         for shape, tile_indices in self._groups.items():
@@ -793,16 +744,12 @@ class EVPBlockPreconditioner(Preconditioner):
 
         Every shape group's full tile batch is gathered from the stack,
         solved in one :meth:`EVPTileEngine.solve` call, and scattered
-        back -- no per-rank loop.  Bit-identical to the per-rank path:
-        tile solves are elementwise-independent along the batch axis, so
-        solving all tiles at once matches solving each rank's subset
-        with the rest zeroed.
+        back -- no per-rank loop.  Bit-identical to :meth:`apply_global`:
+        both run the same tile batches through the same engines.
         """
-        if self.decomp is None:
-            return super().apply_stack(r_stack, out=out)
         if self._stack_idx is None:
-            self._stack_idx = self._build_stack_indices()
             self._mask_f_stack = self._interior_stack(self._mask_f)
+            self._stack_idx = self._build_stack_indices()
             self._stack_ident = self._stack_identity_shape()
         if self._stack_ident == r_stack.shape[:3]:
             # Every block is exactly one tile in batch order: the gather

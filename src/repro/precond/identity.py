@@ -25,18 +25,8 @@ class IdentityPreconditioner(Preconditioner):
         np.multiply(r, self._bcast(self.mask, r), out=out)
         return out
 
-    def apply_block(self, rank, r_interior, out=None):
-        block = self._rank_block(rank)
-        local_mask = self.mask if block is None else self.mask[block.slices]
-        if out is None:
-            out = np.empty_like(r_interior)
-        np.multiply(r_interior, self._bcast(local_mask, r_interior), out=out)
-        return out
-
     def apply_stack(self, r_stack, out=None):
         """One vectorized masking multiply over the whole stack."""
-        if self.decomp is None:
-            return super().apply_stack(r_stack, out=out)
         if self._mask_stack is None:
             self._mask_stack = self._interior_stack(self.mask)
         if out is None:

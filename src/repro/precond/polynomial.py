@@ -9,8 +9,8 @@ polynomial built from the spectral interval ``[nu, mu]``.  Applying it
 costs a handful of block-local stencil sweeps -- **zero reductions and
 zero halo exchanges per apply** -- so it composes with every solver in
 the registry without changing any communication budget, and it runs on
-every kernel backend through the same ``stencil_apply_local`` /
-``stencil_apply_stacked`` entry points the blocked operator uses.
+every kernel backend through the same ``stencil_apply_stacked`` entry
+point the blocked operator uses.
 
 Two families are provided:
 
@@ -71,18 +71,6 @@ def polynomial_point_flops(degree, steps=0):
     for _ in range(int(steps)):
         flops = 2 * flops + _NEWTON_SWEEP_FLOPS
     return flops + 1
-
-
-class _BlockCoeffs:
-    """Stencil coefficients sliced to one block (view, no copy)."""
-
-    __slots__ = _COEFF_ORDER
-
-    def __init__(self, coeffs, block):
-        for name in _COEFF_ORDER:
-            full = getattr(coeffs, name)
-            setattr(self, name,
-                    full if block is None else full[block.slices])
 
 
 class ChebyshevPreconditioner(Preconditioner):
@@ -155,9 +143,7 @@ class ChebyshevPreconditioner(Preconditioner):
             self._inv = np.where(self.mask, 1.0 / safe, 0.0)
         else:
             self._inv = np.where(self.mask, 1.0, 0.0)
-        self._block_coeffs = None
-        self._stacked_coeffs_cache = None
-        self._inv_stack = None
+        self._stacked_cache = None
         self._scratch = {}
 
     # ------------------------------------------------------------------
@@ -229,29 +215,30 @@ class ChebyshevPreconditioner(Preconditioner):
     # ------------------------------------------------------------------
     # block machinery
     # ------------------------------------------------------------------
-    def _local(self, rank):
-        if self._block_coeffs is None:
+    def _stacked(self):
+        """``(coeffs, inv)`` in the stacked block layout (cached).
+
+        Without a decomposition the whole grid is one block.
+        """
+        if self._stacked_cache is None:
             if self.decomp is None:
-                self._block_coeffs = [_BlockCoeffs(self.stencil, None)]
+                def layout(source):
+                    return source[None]
             else:
-                self._block_coeffs = [
-                    _BlockCoeffs(self.stencil, block)
-                    for block in self.decomp.active_blocks
-                ]
-        return self._block_coeffs[0 if rank is None else rank]
+                layout = self.decomp.stack_interiors
+            coeffs = {name: layout(getattr(self.stencil, name))
+                      for name in _COEFF_ORDER}
+            self._stacked_cache = (coeffs, layout(self._inv))
+        return self._stacked_cache
 
-    def _inv_block(self, rank):
-        block = self._rank_block(rank)
-        return self._inv if block is None else self._inv[block.slices]
-
-    def _padded(self, key, shape, dtype):
-        """Zero-bordered scratch of ``shape + 2`` in the space axes.
+    def _padded(self, shape, dtype):
+        """Zero-bordered scratch of ``shape`` (space axes padded by 1).
 
         The border is written once at allocation and never touched
         again (only the interior is assigned), which is exactly the
         zero-Dirichlet halo of the block-local operator.
         """
-        ckey = (key, shape, np.dtype(dtype).str)
+        ckey = (shape, np.dtype(dtype).str)
         pad = self._scratch.get(ckey)
         if pad is None:
             pad = np.zeros(shape, dtype=dtype)
@@ -293,39 +280,22 @@ class ChebyshevPreconditioner(Preconditioner):
         return self._polynomial(rt, matvec, out)
 
     # ------------------------------------------------------------------
-    # the three application layouts
+    # application: one stacked path for the serial and distributed
+    # contexts, so both apply the identical M bit for bit
     # ------------------------------------------------------------------
-    def apply_block(self, rank, r_interior, out=None):
-        if out is None:
-            out = np.empty_like(r_interior)
-        coeffs = self._local(rank)
-        inv = self._bcast(self._inv_block(rank), r_interior)
-        ny, nx = r_interior.shape[0], r_interior.shape[1]
-        pad_shape = (ny + 2, nx + 2) + r_interior.shape[2:]
-        pad = self._padded(0 if rank is None else rank, pad_shape,
-                           r_interior.dtype)
-
-        def matvec(v, res):
-            pad[1:-1, 1:-1] = v
-            self.kernels.stencil_apply_local(coeffs, pad, 1, res)
-            res *= inv
-
-        return self._apply(r_interior, inv, matvec, out)
-
     def apply_stack(self, r_stack, out=None):
-        if self.decomp is None or not self.decomp.is_uniform:
-            return super().apply_stack(r_stack, out=out)
         if out is None:
             out = np.empty_like(r_stack)
-        coeffs = self._stacked()
-        if self._inv_stack is None:
-            self._inv_stack = self._interior_stack(self._inv)
-        inv = self._bcast(self._inv_stack, r_stack)
-        bny, bnx = self.decomp.uniform_block_shape()
-        pad_shape = (r_stack.shape[0], bny + 2, bnx + 2) + r_stack.shape[3:]
-        pad = self._padded("stack", pad_shape, r_stack.dtype)
+        coeffs, inv = self._stacked()
+        inv = self._bcast(inv, r_stack)
+        p, bny, bnx = r_stack.shape[:3]
+        pad = self._padded((p, bny + 2, bnx + 2) + r_stack.shape[3:],
+                           r_stack.dtype)
 
         def matvec(v, res):
+            # Ragged padding has zero coefficients and zero ``inv``, so
+            # it stays zero and reads as the zero-Dirichlet halo of the
+            # smaller block.
             pad[:, 1:-1, 1:-1] = v
             self.kernels.stencil_apply_stacked(coeffs, pad, 1, bny, bnx,
                                                res)
@@ -337,24 +307,14 @@ class ChebyshevPreconditioner(Preconditioner):
         if out is None:
             out = np.empty_like(r)
         if self.decomp is None:
-            return self.apply_block(None, r, out=out)
-        # With a decomposition the operator is the *block-local* one --
-        # the serial context must apply the identical M the distributed
-        # engines apply, block by block.
+            self.apply_stack(r[None], out=out[None])
+            return out
+        # With a decomposition the operator is the *block-local* one.
+        z = self.apply_stack(self.decomp.stack_interiors(r))
         out[...] = 0.0
         for rank, block in enumerate(self.decomp.active_blocks):
-            self.apply_block(rank, r[block.slices], out=out[block.slices])
+            out[block.slices] = z[rank, :block.ny, :block.nx]
         return out
-
-    def _stacked(self):
-        if self._stacked_coeffs_cache is None:
-            locals_ = [self._local(rank)
-                       for rank in range(len(self.decomp.active_blocks))]
-            self._stacked_coeffs_cache = {
-                name: np.stack([getattr(lc, name) for lc in locals_])
-                for name in _COEFF_ORDER
-            }
-        return self._stacked_coeffs_cache
 
     # ------------------------------------------------------------------
     # accounting + caching

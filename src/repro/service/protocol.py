@@ -21,9 +21,9 @@ Request fields
                     :func:`repro.reporting.serialize.encode_array`)
                     or ``None`` for the deterministic reference RHS
 ``engine``          execution context: ``None`` (server default),
-                    ``"serial"``, ``"perrank"`` or ``"batched"`` --
-                    the batched engine amortizes per-iteration fixed
-                    costs across coalesced multi-RHS columns
+                    ``"serial"`` or ``"batched"`` (the stacked
+                    virtual machine, which amortizes per-iteration
+                    fixed costs across coalesced multi-RHS columns)
 ``blocks``          ``[by, bx]`` decomposition for a decomposed
                     engine (default: the server's ``--blocks``)
 ``inject``          fault-injection directive (tests only):
@@ -53,8 +53,8 @@ KNOWN_SOLVERS = ("chrongear", "pcsi", "pcg", "pipecg", "capcg")
 DEFAULT_SOLVER = "pcsi"
 DEFAULT_PRECOND = "diagonal"
 
-#: Execution engines a request may select (``None`` = server default).
-KNOWN_ENGINES = ("serial", "perrank", "batched")
+#: Execution contexts a request may select (``None`` = server default).
+KNOWN_ENGINES = ("serial", "batched")
 
 
 class ProtocolError(ConfigurationError):

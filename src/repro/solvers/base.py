@@ -37,12 +37,10 @@ solver-specific state (P-CSI's Chebyshev interval and Lanczos
 configuration) -- so a resumed solve replays the exact arithmetic the
 uninterrupted run would have performed: the final
 :class:`~repro.solvers.result.SolveResult` (iterate, iteration count,
-residual history, event stream) is **bit-identical** on every engine
-and kernel backend.  Vectors round-trip through
-``context.to_global``/``from_global`` (pure data movement), which also
-makes snapshots engine-portable: a checkpoint written under the
-batched engine resumes under per-rank (and vice versa) while staying
-bit-identical, since those engines share one arithmetic stream.  A
+residual history, event stream) is **bit-identical** in every context
+and under every deterministic kernel backend.  Vectors round-trip
+through ``context.to_global``/``from_global`` (pure data movement),
+which also makes snapshots portable across kernel backends.  A
 serial-context snapshot resumes under the virtual machine too, but
 the continued run then follows the distributed reduction ordering --
 bit-identity holds per arithmetic stream, not across them.

@@ -30,8 +30,10 @@ Two interchangeable implementations exist:
 * :class:`DistributedContext` operates on
   :class:`~repro.parallel.halo.BlockField` values over a
   :class:`~repro.parallel.vm.VirtualMachine`: real halo exchanges, real
-  per-rank arithmetic, real rank-ordered reductions.  Used to validate
-  the substrate and the communication accounting.
+  block-local arithmetic, real rank-ordered reductions, each one
+  vectorized numpy call over the stacked ``(p, bny, bnx)`` layout of
+  the active blocks.  Used to validate the substrate and the
+  communication accounting, and to run decomposed solves.
 
 The test suite asserts both contexts drive every solver to (near)
 identical iterates, and that their event ledgers agree exactly on
@@ -461,13 +463,11 @@ class SerialContext(SolverContext):
 class DistributedContext(SolverContext):
     """Block-field context over a :class:`VirtualMachine`.
 
-    Under the per-rank engine every operation really happens rank by
-    rank: halo exchanges move strips between block arrays, reductions
-    combine per-rank partials in rank order, and elementwise updates
-    loop over block interiors.  Under the batched engine
-    (``vm.engine == "batched"``) the same operations run as single
-    vectorized numpy calls over the stacked ``(p, bny, bnx)`` layout --
-    bit-identical results, identical event streams.
+    Every operation runs as one vectorized numpy call over the stacked
+    ``(p, bny, bnx)`` interiors: halo exchanges move every block's
+    window at once, reductions combine per-rank partials in rank order,
+    and elementwise updates sweep the whole stack.  Ragged padding
+    cells hold zero and stay zero (zero coefficients, zero mask).
     """
 
     def __init__(self, stencil, preconditioner, vm, kernels=None):
@@ -478,12 +478,9 @@ class DistributedContext(SolverContext):
         self.operator = BlockedOperator(stencil, vm.decomp,
                                         kernels=self.kernels)
         self._critical = vm.max_block_points
-        # Scratch stack for the batched axpy/combine (avoids a fresh
-        # ``alpha * x`` temporary per call in the solver hot loop).
+        # Scratch stack for axpy/combine (avoids a fresh ``alpha * x``
+        # temporary per call in the solver hot loop).
         self._scratch = None
-
-    def _batched(self, *fields):
-        return self.vm.is_batched and all(f.is_stacked for f in fields)
 
     def _get_scratch(self, like):
         if self._scratch is None or self._scratch.shape != like.shape \
@@ -507,11 +504,7 @@ class DistributedContext(SolverContext):
     def compact(self, v, keep):
         keep = np.asarray(keep, dtype=np.intp)
         out = self.vm.zeros(nrhs=int(keep.size))
-        if v.is_stacked and out.is_stacked:
-            out.stack[...] = v.stack[..., keep]
-        else:
-            for rank in range(self.vm.num_ranks):
-                out.locals_[rank][...] = v.locals_[rank][..., keep]
+        out.stack[...] = v.stack[..., keep]
         return out
 
     def _vec_width(self, v):
@@ -534,27 +527,17 @@ class DistributedContext(SolverContext):
     def _sub(self, a, b, out=None):
         if out is None:
             out = self.vm.zeros(nrhs=a.nrhs)
-        if self._batched(a, b, out):
-            np.subtract(a.interior_stack(), b.interior_stack(),
-                        out=out.interior_stack())
-            return out
-        for rank in range(self.vm.num_ranks):
-            np.subtract(a.interior(rank), b.interior(rank),
-                        out=out.interior(rank))
+        np.subtract(a.interior_stack(), b.interior_stack(),
+                    out=out.interior_stack())
         return out
 
     def _apply_precond(self, r, out):
         if out is None:
             out = self.vm.zeros(nrhs=r.nrhs)
-        if self._batched(r, out):
-            # The interior stack is a strided view; apply_stack
-            # implementations write through it elementwise.
-            self.preconditioner.apply_stack(r.interior_stack(),
-                                            out=out.interior_stack())
-            return out
-        for rank in range(self.vm.num_ranks):
-            self.preconditioner.apply_block(rank, r.interior(rank),
-                                            out=out.interior(rank))
+        # The interior stack is a strided view; apply_stack
+        # implementations write through it elementwise.
+        self.preconditioner.apply_stack(r.interior_stack(),
+                                        out=out.interior_stack())
         return out
 
     # -- reductions ----------------------------------------------------
@@ -573,13 +556,10 @@ class DistributedContext(SolverContext):
         out = self.vm.zeros(nrhs=sum(widths))
         start = 0
         for v, w in zip(vs, widths):
-            for rank in range(self.vm.num_ranks):
-                dst = out.locals_[rank]
-                src = v.locals_[rank]
-                if v.nrhs is None:
-                    dst[..., start] = src
-                else:
-                    dst[..., start:start + w] = src
+            if v.nrhs is None:
+                out.stack[..., start] = v.stack
+            else:
+                out.stack[..., start:start + w] = v.stack
             start += w
         return out
 
@@ -589,12 +569,10 @@ class DistributedContext(SolverContext):
         for w in widths:
             piece = self.vm.zeros(nrhs=w)
             span = 1 if w is None else int(w)
-            for rank in range(self.vm.num_ranks):
-                src = v.locals_[rank]
-                if w is None:
-                    piece.locals_[rank][...] = src[..., start]
-                else:
-                    piece.locals_[rank][...] = src[..., start:start + span]
+            if w is None:
+                piece.stack[...] = v.stack[..., start]
+            else:
+                piece.stack[...] = v.stack[..., start:start + span]
             out.append(piece)
             start += span
         return out
@@ -602,54 +580,34 @@ class DistributedContext(SolverContext):
     # -- elementwise ---------------------------------------------------
     # Coefficients may be scalars or per-column ``(nrhs,)`` arrays; the
     # trailing RHS axis lines up with numpy's right-aligned
-    # broadcasting in both the stacked and per-rank layouts.
+    # broadcasting.
     def axpy(self, alpha, x, y, phase="computation"):
-        if self._batched(x, y):
-            xi = x.interior_stack()
-            s = self._get_scratch(xi)
-            np.multiply(xi, alpha, out=s)
-            y.interior_stack()[...] += s
-        else:
-            for rank in range(self.vm.num_ranks):
-                y.interior(rank)[...] += alpha * x.interior(rank)
+        xi = x.interior_stack()
+        s = self._get_scratch(xi)
+        np.multiply(xi, alpha, out=s)
+        y.interior_stack()[...] += s
         self.ledger.record_flops(phase, self._vec_width(y) * self._critical)
         return y
 
     def xpay(self, x, beta, y, phase="computation"):
-        if self._batched(x, y):
-            yi = y.interior_stack()
-            yi *= beta
-            yi += x.interior_stack()
-        else:
-            for rank in range(self.vm.num_ranks):
-                yi = y.interior(rank)
-                yi *= beta
-                yi += x.interior(rank)
+        yi = y.interior_stack()
+        yi *= beta
+        yi += x.interior_stack()
         self.ledger.record_flops(phase, self._vec_width(y) * self._critical)
         return y
 
     def combine(self, a, x, b, y, phase="computation"):
-        if self._batched(x, y):
-            yi = y.interior_stack()
-            yi *= b
-            xi = x.interior_stack()
-            s = self._get_scratch(xi)
-            np.multiply(xi, a, out=s)
-            yi += s
-        else:
-            for rank in range(self.vm.num_ranks):
-                yi = y.interior(rank)
-                yi *= b
-                yi += a * x.interior(rank)
+        yi = y.interior_stack()
+        yi *= b
+        xi = x.interior_stack()
+        s = self._get_scratch(xi)
+        np.multiply(xi, a, out=s)
+        yi += s
         self.ledger.record_flops(phase, 2 * self._vec_width(y) * self._critical)
         return y
 
     def scale(self, factor, v, phase="computation"):
-        if self._batched(v):
-            v.interior_stack()[...] *= factor
-        else:
-            for rank in range(self.vm.num_ranks):
-                v.interior(rank)[...] *= factor
+        v.interior_stack()[...] *= factor
         self.ledger.record_flops(phase, self._vec_width(v) * self._critical)
         return v
 

@@ -14,9 +14,9 @@ persisted choice automatically -- ``--no-tuned`` opts out.
 
 Every candidate solves the *same* reference right-hand side to the same
 tolerance, with the preconditioner always built against the
-decomposition (the serial engine runs with ``decomp=`` so the
+decomposition (the serial context runs with ``decomp=`` so the
 block-local operator -- and hence the iteration count -- is identical
-across engines and the choice transfers between them).  Lanczos
+in both contexts and the choice transfers between them).  Lanczos
 eigenbounds are shared through the same cache, so spectral candidates
 don't re-estimate per combo.
 """
@@ -130,8 +130,7 @@ def _benchmark(config, decomp, candidate, rhs, tol, max_iterations,
             ctx = SerialContext(config.stencil, pre, decomp=decomp,
                                 kernels=candidate["kernels"])
         else:
-            vm = VirtualMachine(decomp, mask=config.mask,
-                                engine=candidate["engine"])
+            vm = VirtualMachine(decomp, mask=config.mask)
             ctx = DistributedContext(config.stencil, pre, vm,
                                      kernels=candidate["kernels"])
         solver_kwargs = {"tol": tol, "max_iterations": max_iterations}

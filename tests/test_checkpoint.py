@@ -50,7 +50,7 @@ def config():
 @pytest.fixture(scope="module")
 def decomp(config):
     d = decompose(config.ny, config.nx, 4, 4, mask=config.mask)
-    assert d.supports_batched
+    assert d.is_uniform and d.num_active == d.num_blocks
     return d
 
 
@@ -69,7 +69,7 @@ def _context(config, decomp, engine, kernels_name, precond="diagonal"):
             pre = make_preconditioner(precond, config.stencil,
                                       kernels=kernels)
         return SerialContext(config.stencil, pre, kernels=kernels)
-    vm = VirtualMachine(decomp, mask=config.mask, engine=engine)
+    vm = VirtualMachine(decomp, mask=config.mask)
     if precond == "evp":
         pre = evp_for_config(config, decomp=decomp, kernels=kernels)
     else:
@@ -192,9 +192,9 @@ class TestStorageLayer:
 
 class TestSolverResume:
     """Killed-and-resumed solves are bit-identical to uninterrupted
-    ones, across engines and kernel backends."""
+    ones, in both contexts and across kernel backends."""
 
-    @pytest.mark.parametrize("engine", ["serial", "perrank", "batched"])
+    @pytest.mark.parametrize("engine", ["serial", "batched"])
     @pytest.mark.parametrize("kernels_name", ["numpy", "fused"])
     def test_pcsi_resume_bit_identical(self, tmp_path, config, decomp,
                                        engine, kernels_name):
@@ -232,26 +232,23 @@ class TestSolverResume:
                 b, resume_from=policy.written[0])
         _assert_results_identical(full, resumed)
 
-    def test_cross_engine_resume(self, tmp_path, config, decomp):
-        """A snapshot written under one engine resumes under another:
-        checkpoints are stored in the engine-agnostic global layout.
-
-        The batched and per-rank engines are the bit-identical pair
-        (engine parity); the serial context orders its reductions
-        differently, so it is not part of this contract.
+    def test_cross_backend_resume(self, tmp_path, config, decomp):
+        """A snapshot written under one kernel backend resumes under
+        another: checkpoints are stored in the global layout, and the
+        deterministic backends are bit-identical.
         """
         b = _rhs(config)
         full = make_solver(
-            "pcsi", _context(config, decomp, "perrank", "numpy",
+            "pcsi", _context(config, decomp, "batched", "numpy",
                              precond="evp"), tol=1e-10).solve(b)
 
         policy = CheckpointPolicy(str(tmp_path), every=20)
         make_solver(
-            "pcsi", _context(config, decomp, "batched", "numpy",
+            "pcsi", _context(config, decomp, "batched", "fused",
                              precond="evp"),
             tol=1e-10).solve(b, checkpoint=policy)
         resumed = make_solver(
-            "pcsi", _context(config, decomp, "perrank", "numpy",
+            "pcsi", _context(config, decomp, "batched", "numpy",
                              precond="evp"), tol=1e-10).solve(
                 b, resume_from=policy.written[0])
         _assert_results_identical(full, resumed)

@@ -16,8 +16,8 @@ capcg          ``ceil(K/s) - 1 + K//f``       --
 =============  =============================  =======================
 
 (CA-PCG's first Gram reduction happens in the setup stage, hence the
-``- 1``.)  The same counts must come out of the serial model and both
-virtual-machine engines -- the serial context *predicts* what the
+``- 1``.)  The same counts must come out of the serial model and the
+stacked virtual machine -- the serial context *predicts* what the
 distributed run *measures*.
 """
 
@@ -33,7 +33,7 @@ from repro.perfmodel import event_totals
 from repro.precond import make_preconditioner
 from repro.solvers import DistributedContext, SerialContext, make_solver
 
-ENGINES = ("serial", "batched", "perrank")
+ENGINES = ("serial", "batched")
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,7 @@ def _solve(cfg, rhs, name, engine, **kwargs):
     else:
         decomp = decompose(cfg.ny, cfg.nx, 4, 4, mask=cfg.mask)
         pre = make_preconditioner("diagonal", cfg.stencil, decomp=decomp)
-        vm = VirtualMachine(decomp, mask=cfg.mask, engine=engine)
+        vm = VirtualMachine(decomp, mask=cfg.mask)
         ctx = DistributedContext(cfg.stencil, pre, vm)
     solver = make_solver(name, ctx, tol=1e-12, max_iterations=500,
                          **kwargs)
@@ -127,7 +127,7 @@ class TestReductionsPerIteration:
 
 
 class TestSerialModelPredictsEngines:
-    """Identical ledgers across the serial model and both engines."""
+    """Identical ledgers across the serial model and the stacked VM."""
 
     @pytest.mark.parametrize("name,kwargs", [
         ("chrongear", {}), ("pcg", {}), ("pipecg", {}),
@@ -140,19 +140,18 @@ class TestSerialModelPredictsEngines:
             results[engine], solver = _solve(cfg, rhs, name, engine,
                                              **bounds, **kwargs)
             if getattr(solver, "eig_bounds", None) is not None:
-                # Reuse the first run's interval so all three engines
+                # Reuse the first run's interval so both contexts
                 # execute the identical schedule.
                 bounds = {"eig_bounds": solver.eig_bounds}
         serial = results["serial"]
-        for engine in ("batched", "perrank"):
-            other = results[engine]
-            assert other.iterations == serial.iterations
-            for phase in set(serial.events) | set(other.events):
-                se = serial.events.get(phase)
-                oe = other.events.get(phase)
-                assert (se is None) == (oe is None), phase
-                if se is None:
-                    continue
-                assert se.allreduces == oe.allreduces, phase
-                assert se.allreduce_words == oe.allreduce_words, phase
-                assert se.halo_exchanges == oe.halo_exchanges, phase
+        other = results["batched"]
+        assert other.iterations == serial.iterations
+        for phase in set(serial.events) | set(other.events):
+            se = serial.events.get(phase)
+            oe = other.events.get(phase)
+            assert (se is None) == (oe is None), phase
+            if se is None:
+                continue
+            assert se.allreduces == oe.allreduces, phase
+            assert se.allreduce_words == oe.allreduce_words, phase
+            assert se.halo_exchanges == oe.halo_exchanges, phase

@@ -5,8 +5,9 @@ the ``fused`` backend must produce bit-identical results everywhere
 (same IEEE operation sequence, different dispatch), and the optional
 ``numba`` backend may drift by at most 1e-12 relative.  The parity
 matrix below exercises every backend against the reference across
-stencil matvecs, EVP preconditioner applies, and full distributed
-solves under both execution engines and both mask regimes.
+stencil matvecs, EVP preconditioner applies, and full solves in the
+serial context and on the stacked virtual machine, under both mask
+regimes.
 """
 
 import os
@@ -31,11 +32,10 @@ from repro.kernels import (
     resolve_kernels,
 )
 from repro.operators import BlockedOperator, apply_stencil
-from repro.operators.stencil_op import apply_stencil_local
 from repro.parallel import VirtualMachine, decompose
 from repro.precond import make_preconditioner
 from repro.precond.evp import evp_for_config
-from repro.solvers import DistributedContext, PCSISolver
+from repro.solvers import DistributedContext, PCSISolver, SerialContext
 
 NUMBA_RTOL = 1e-12
 
@@ -68,7 +68,7 @@ def uniform_config():
 def uniform_decomp(uniform_config):
     d = decompose(uniform_config.ny, uniform_config.nx, 4, 4,
                   mask=uniform_config.mask)
-    assert d.supports_batched
+    assert d.is_uniform and d.num_active == d.num_blocks
     return d
 
 
@@ -81,7 +81,7 @@ def eliminated_config():
 def eliminated_decomp(eliminated_config):
     d = decompose(eliminated_config.ny, eliminated_config.nx, 4, 4,
                   mask=eliminated_config.mask)
-    assert not d.supports_batched
+    assert d.num_active < d.num_blocks
     return d
 
 
@@ -170,30 +170,29 @@ class TestStencilParity:
         _assert_close(backend, ref, got)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_local_matvec(self, uniform_config, uniform_decomp, backend):
-        vm = VirtualMachine(uniform_decomp, mask=uniform_config.mask,
-                            engine="perrank")
-        x = vm.scatter(_rhs(uniform_config))
-        vm.exchange(x)
-        op_ref = BlockedOperator(uniform_config.stencil, uniform_decomp,
-                                 kernels="numpy")
-        op_got = BlockedOperator(uniform_config.stencil, uniform_decomp,
-                                 kernels=backend)
-        h = uniform_decomp.halo_width
-        for rank in range(uniform_decomp.num_active):
-            coeffs = op_ref._local_coeffs[rank]
-            ref = apply_stencil_local(coeffs, x.local(rank), h,
-                                      kernels="numpy")
-            got = apply_stencil_local(op_got._local_coeffs[rank],
-                                      x.local(rank), h, kernels=backend)
-            _assert_close(backend, ref, got)
+    def test_local_matvec(self, eliminated_config, backend):
+        """Every rank's block of a ragged, land-eliminated stacked
+        matvec matches the global matvec on that block."""
+        config = eliminated_config
+        decomp = decompose(config.ny, config.nx, 5, 3, mask=config.mask)
+        assert not decomp.is_uniform
+        assert decomp.num_active < decomp.num_blocks
+        x = _rhs(config)
+        ref = apply_stencil(config.stencil, x, kernels="numpy")
+        vm = VirtualMachine(decomp, mask=config.mask)
+        xf = vm.scatter(x)
+        vm.exchange(xf)
+        out = vm.zeros()
+        BlockedOperator(config.stencil, decomp, kernels=backend).apply(
+            xf, out)
+        for rank, block in enumerate(decomp.active_blocks):
+            _assert_close(backend, ref[block.slices], out.interior(rank))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_stacked_matvec(self, uniform_config, uniform_decomp, backend):
         outs = {}
         for name in ("numpy", backend):
-            vm = VirtualMachine(uniform_decomp, mask=uniform_config.mask,
-                                engine="batched")
+            vm = VirtualMachine(uniform_decomp, mask=uniform_config.mask)
             op = BlockedOperator(uniform_config.stencil, uniform_decomp,
                                  kernels=name)
             x = vm.scatter(_rhs(uniform_config))
@@ -222,19 +221,22 @@ class TestEVPParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_apply_block_and_stack(self, uniform_config, uniform_decomp,
                                    backend):
+        """Stacked application matches the numpy backend, and each
+        rank's slab matches that block of the global application."""
         rng = np.random.default_rng(11)
-        bny, bnx = uniform_decomp.uniform_block_shape()
+        bny, bnx = uniform_decomp.max_block_shape()
         r_stack = rng.standard_normal((uniform_decomp.num_active, bny, bnx))
         pres = {name: evp_for_config(uniform_config, decomp=uniform_decomp,
                                      kernels=name)
                 for name in {"numpy", backend}}
-        _assert_close(backend,
-                      pres["numpy"].apply_stack(r_stack),
-                      pres[backend].apply_stack(r_stack))
-        for rank in (0, uniform_decomp.num_active - 1):
+        z_stack = pres[backend].apply_stack(r_stack)
+        _assert_close(backend, pres["numpy"].apply_stack(r_stack), z_stack)
+        for rank, block in enumerate(uniform_decomp.active_blocks):
+            r = np.zeros(uniform_config.shape)
+            r[block.slices] = r_stack[rank]
             _assert_close(backend,
-                          pres["numpy"].apply_block(rank, r_stack[rank]),
-                          pres[backend].apply_block(rank, r_stack[rank]))
+                          pres[backend].apply_global(r)[block.slices],
+                          z_stack[rank])
 
     def test_influence_matrices_backend_independent(self, uniform_config,
                                                     uniform_decomp):
@@ -254,20 +256,25 @@ class TestEVPParity:
 @pytest.mark.parametrize("precond", ["identity", "diagonal", "evp"])
 class TestSolveParity:
     """Full P-CSI solves: every backend against the numpy reference,
-    under both execution engines."""
+    in the serial context and on the stacked virtual machine."""
 
     def _solve(self, config, decomp, engine, precond, backend):
-        vm = VirtualMachine(decomp, mask=config.mask, engine=engine)
         if precond == "evp":
             pre = evp_for_config(config, decomp=decomp, kernels=backend)
         else:
             pre = make_preconditioner(precond, config.stencil,
                                       decomp=decomp, kernels=backend)
-        ctx = DistributedContext(config.stencil, pre, vm, kernels=backend)
+        if engine == "serial":
+            ctx = SerialContext(config.stencil, pre, decomp=decomp,
+                                kernels=backend)
+        else:
+            vm = VirtualMachine(decomp, mask=config.mask)
+            ctx = DistributedContext(config.stencil, pre, vm,
+                                     kernels=backend)
         solver = PCSISolver(ctx, tol=1e-10, max_iterations=3000)
         return solver.solve(_rhs(config))
 
-    @pytest.mark.parametrize("engine", ["perrank", "batched"])
+    @pytest.mark.parametrize("engine", ["serial", "batched"])
     def test_uniform(self, uniform_config, uniform_decomp, backend,
                      precond, engine):
         ref = self._solve(uniform_config, uniform_decomp, engine, precond,
@@ -281,9 +288,9 @@ class TestSolveParity:
 
     def test_eliminated(self, eliminated_config, eliminated_decomp,
                         backend, precond):
-        ref = self._solve(eliminated_config, eliminated_decomp, "perrank",
+        ref = self._solve(eliminated_config, eliminated_decomp, "batched",
                           precond, "numpy")
-        got = self._solve(eliminated_config, eliminated_decomp, "perrank",
+        got = self._solve(eliminated_config, eliminated_decomp, "batched",
                           precond, backend)
         if get_backend(backend).deterministic:
             assert ref.iterations == got.iterations

@@ -87,14 +87,13 @@ class TestStencilMisc:
 
 
 class TestPrecondBaseMisc:
-    def test_rank_block_without_decomp_rejects_nonzero_rank(self,
-                                                            small_config):
+    def test_apply_stack_without_decomp_rejected(self, small_config):
         from repro.core.errors import SolverError
         from repro.precond import DiagonalPreconditioner
 
         pre = DiagonalPreconditioner(small_config.stencil)
         with pytest.raises(SolverError):
-            pre._rank_block(3)
+            pre.apply_stack(np.zeros((3, 4, 4)))
         assert pre.is_spd
 
     def test_setup_flops_default_zero(self, small_config):

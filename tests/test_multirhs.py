@@ -64,7 +64,7 @@ def _make_context(cfg, engine, precond, kernels=None, decomp=None):
     else:
         pre = make_preconditioner(precond, cfg.stencil, decomp=decomp,
                                   kernels=kernels)
-    vm = VirtualMachine(decomp, mask=cfg.stencil.mask, engine=engine)
+    vm = VirtualMachine(decomp, mask=cfg.stencil.mask)
     return DistributedContext(cfg.stencil, pre, vm, kernels=kernels)
 
 
@@ -99,7 +99,7 @@ class TestBatchedBitExactness:
     """Batched == looped, bit for bit, across the whole stack."""
 
     @pytest.mark.parametrize("solver_name", sorted(SOLVERS))
-    @pytest.mark.parametrize("engine", ["serial", "batched", "perrank"])
+    @pytest.mark.parametrize("engine", ["serial", "batched"])
     def test_solvers_and_engines(self, cfg, rhs_batch, solver_name,
                                  engine):
         multi, singles = _solve_batched_and_looped(

@@ -11,13 +11,13 @@ from repro.operators import (
     BlockedOperator,
     MATVEC_FLOPS_PER_POINT,
     apply_stencil,
-    apply_stencil_local,
     condition_number,
     extreme_eigenvalues,
     ocean_submatrix,
     residual,
     to_sparse,
 )
+from repro.kernels import resolve_kernels
 from repro.parallel import VirtualMachine, decompose
 
 
@@ -75,18 +75,18 @@ class TestLocalApply:
         j0, j1, i0, i1 = 8, 20, 4, 28
         sub = _slice_coeffs(cfg.stencil, j0, j1, i0, i1)
         local = padded[j0:j1 + 2 * h, i0:i1 + 2 * h]
-        out = apply_stencil_local(sub, local, h)
+        # One block as a one-slot stack through the stacked kernel.
+        out = np.empty((1, j1 - j0, i1 - i0))
+        resolve_kernels("numpy").stencil_apply_stacked(
+            sub, local[None], h, j1 - j0, i1 - i0, out)
+        out = out[0]
         assert np.allclose(out, ref[j0:j1, i0:i1], rtol=1e-13, atol=1e-10)
 
 
 def _slice_coeffs(stencil, j0, j1, i0, i1):
-    class _Local:
-        pass
-
-    obj = _Local()
-    for name in ("c", "n", "s", "e", "w", "ne", "nw", "se", "sw"):
-        setattr(obj, name, getattr(stencil, name)[j0:j1, i0:i1])
-    return obj
+    """The nine coefficient arrays of one block, as a one-slot stack."""
+    return {name: getattr(stencil, name)[None, j0:j1, i0:i1]
+            for name in ("c", "n", "s", "e", "w", "ne", "nw", "se", "sw")}
 
 
 class TestBlockedOperator:

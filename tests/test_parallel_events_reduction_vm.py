@@ -119,18 +119,6 @@ class TestVirtualMachine:
         assert counts.halo_exchanges == 1
         assert counts.halo_words == self.decomp.halo_words_per_exchange()
 
-    def test_fast_and_slow_exchange_agree(self):
-        vm_fast = VirtualMachine(self.decomp, mask=self.mask,
-                                 fast_exchange=True)
-        vm_slow = VirtualMachine(self.decomp, mask=self.mask,
-                                 fast_exchange=False)
-        a = vm_fast.scatter(self.a)
-        b = vm_slow.scatter(self.a)
-        vm_fast.exchange(a)
-        vm_slow.exchange(b)
-        for rank in range(vm_fast.num_ranks):
-            assert np.array_equal(a.local(rank), b.local(rank))
-
     def test_default_mask_all_ocean(self):
         vm = VirtualMachine(self.decomp)
         af = vm.scatter(self.a)

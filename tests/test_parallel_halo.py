@@ -43,6 +43,21 @@ class TestScatterGather:
             HaloExchanger(decomp)
 
 
+def _assert_windows(decomp, seed):
+    ex = HaloExchanger(decomp)
+    g = _random_field(decomp, seed=seed)
+    field = ex.exchange_stacked(ex.scatter(g))
+    h = decomp.halo_width
+    padded = np.zeros((decomp.ny + 2 * h, decomp.nx + 2 * h))
+    padded[h:-h, h:-h] = g
+    for rank, block in enumerate(decomp.active_blocks):
+        window = padded[block.j0:block.j1 + 2 * h, block.i0:block.i1 + 2 * h]
+        assert np.array_equal(field.local(rank), window), rank
+        slot = field.stack[rank].copy()
+        slot[:block.ny + 2 * h, :block.nx + 2 * h] = 0.0
+        assert not slot.any(), rank
+
+
 class TestExchangeCorrectness:
     def test_halo_matches_global_neighborhood(self):
         """After exchange, every local padded window equals the global
@@ -51,7 +66,7 @@ class TestExchangeCorrectness:
         ex = HaloExchanger(decomp)
         g = _random_field(decomp, seed=3)
         field = ex.scatter(g)
-        ex.exchange(field)
+        ex.exchange_stacked(field)
         h = 2
         padded = np.zeros((decomp.ny + 2 * h, decomp.nx + 2 * h))
         padded[h:-h, h:-h] = g
@@ -61,15 +76,9 @@ class TestExchangeCorrectness:
             assert np.array_equal(field.local(rank), window), rank
 
     def test_direct_equals_global_path(self):
-        decomp = decompose(15, 21, 3, 3, halo_width=2)
-        ex = HaloExchanger(decomp)
-        g = _random_field(decomp, seed=5)
-        a = ex.scatter(g)
-        b = ex.scatter(g)
-        ex.exchange(a)
-        ex.exchange_via_global(b)
-        for rank in range(decomp.num_active):
-            assert np.array_equal(a.local(rank), b.local(rank)), rank
+        """Ragged blocks: each padded window equals the directly sliced
+        zero-padded global window, and the slot padding stays zero."""
+        _assert_windows(decompose(15, 21, 4, 4, halo_width=2), seed=5)
 
     @given(
         ny=st.integers(8, 24),
@@ -82,15 +91,7 @@ class TestExchangeCorrectness:
     def test_direct_equals_global_path_property(self, ny, nx, mby, mbx, seed):
         if ny // mby < 2 or nx // mbx < 2:
             return
-        decomp = decompose(ny, nx, mby, mbx, halo_width=2)
-        ex = HaloExchanger(decomp)
-        g = _random_field(decomp, seed=seed)
-        a = ex.scatter(g)
-        b = ex.scatter(g)
-        ex.exchange(a)
-        ex.exchange_via_global(b)
-        for rank in range(decomp.num_active):
-            assert np.array_equal(a.local(rank), b.local(rank))
+        _assert_windows(decompose(ny, nx, mby, mbx, halo_width=2), seed)
 
     def test_eliminated_neighbor_reads_zero(self):
         mask = np.zeros((12, 12), dtype=bool)
@@ -98,7 +99,7 @@ class TestExchangeCorrectness:
         decomp = decompose(12, 12, 2, 2, mask=mask, halo_width=2)
         ex = HaloExchanger(decomp)
         field = ex.scatter(np.ones((12, 12)) * mask)
-        ex.exchange(field)
+        ex.exchange_stacked(field)
         # Active blocks are the bottom row; their north halos face the
         # eliminated land blocks and must read zero.
         for rank, block in enumerate(decomp.active_blocks):

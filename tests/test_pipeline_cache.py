@@ -71,7 +71,7 @@ class TestEVPDiskRoundTrip:
                                 cache=fresh_view(cache))
 
         rng = np.random.default_rng(13)
-        bny, bnx = decomp.uniform_block_shape()
+        bny, bnx = decomp.max_block_shape()
         stack = rng.standard_normal((decomp.num_active, bny, bnx))
         np.testing.assert_array_equal(built.apply_stack(stack),
                                       loaded.apply_stack(stack))

@@ -25,7 +25,7 @@ from repro.precond import (
 )
 from repro.solvers import DistributedContext, SerialContext, make_solver
 
-ENGINES = ("serial", "batched", "perrank")
+ENGINES = ("serial", "batched")
 BACKENDS = ("numpy", "fused")
 
 #: A fixed spectral interval so interval-sensitive tests never depend
@@ -42,7 +42,7 @@ def cfg():
 @pytest.fixture(scope="module")
 def decomp(cfg):
     d = decompose(cfg.ny, cfg.nx, 4, 4, mask=cfg.mask)
-    assert d.supports_batched
+    assert d.is_uniform and d.num_active == d.num_blocks
     return d
 
 
@@ -63,10 +63,10 @@ def _context(cfg, decomp, engine, kernels, precond_kind, **pkw):
     pre = _precond(precond_kind, cfg, decomp, kernels=kernels, **pkw)
     if engine == "serial":
         # Same decomposition on the serial context: it must apply the
-        # identical block-local M the distributed engines apply.
+        # identical block-local M the distributed context applies.
         return SerialContext(cfg.stencil, pre, decomp=decomp,
                              kernels=kernels)
-    vm = VirtualMachine(decomp, mask=cfg.mask, engine=engine)
+    vm = VirtualMachine(decomp, mask=cfg.mask)
     return DistributedContext(cfg.stencil, pre, vm, kernels=kernels)
 
 
@@ -79,8 +79,17 @@ def _solve(cfg, decomp, rhs, solver, engine, kernels, precond_kind,
     return result
 
 
+def _blockwise(kind, cfg, block, r):
+    """``M^-1 r`` on one block alone: the polynomial of the block's own
+    diagonal sub-matrix, with no decomposition."""
+    sub = cfg.stencil.extract_block(block.j0, block.j1, block.i0, block.i1)
+    pre = make_preconditioner(kind, sub, kernels="numpy",
+                              eig_bounds=PINNED_BOUNDS)
+    return pre.apply_global(r[block.slices])
+
+
 class TestApplyLayouts:
-    """One polynomial, three layouts, one bit pattern."""
+    """One polynomial, every layout, one bit pattern."""
 
     @pytest.mark.parametrize("kind", ["cheby:3", "ncheby:2:1"])
     def test_global_equals_blockwise(self, cfg, decomp, kind):
@@ -88,8 +97,8 @@ class TestApplyLayouts:
         rng = np.random.default_rng(0)
         r = rng.standard_normal(cfg.shape) * cfg.mask
         full = pre.apply_global(r)
-        for rank, block in enumerate(decomp.active_blocks):
-            piece = pre.apply_block(rank, r[block.slices])
+        for block in decomp.active_blocks:
+            piece = _blockwise(kind, cfg, block, r)
             assert np.array_equal(full[block.slices], piece)
 
     @pytest.mark.parametrize("kind", ["cheby:3", "ncheby:2:1"])
@@ -100,11 +109,9 @@ class TestApplyLayouts:
         shape = cfg.shape if nrhs == 1 else cfg.shape + (nrhs,)
         mask = cfg.mask if nrhs == 1 else cfg.mask[..., None]
         r = rng.standard_normal(shape) * mask
-        stack = np.stack([r[block.slices]
-                          for block in decomp.active_blocks])
-        out = pre.apply_stack(stack)
+        out = pre.apply_stack(decomp.stack_interiors(r))
         for rank, block in enumerate(decomp.active_blocks):
-            piece = pre.apply_block(rank, r[block.slices])
+            piece = _blockwise(kind, cfg, block, r)
             assert np.array_equal(out[rank], piece)
 
     def test_masked_points_stay_zero(self, cfg, decomp):
@@ -132,12 +139,12 @@ class TestCrossEngineBitExactness:
         # P-CSI has no loop dot products, so even the serial context
         # (same decomp, same block-local M) reproduces the distributed
         # bits exactly.
-        ("pcsi", "cheby:3", ("serial", "batched", "perrank")),
-        ("pcsi", "ncheby:2:1", ("serial", "batched", "perrank")),
+        ("pcsi", "cheby:3", ("serial", "batched")),
+        ("pcsi", "ncheby:2:1", ("serial", "batched")),
         # ChronGear's serial reductions sum in a different order than
-        # the VM's block-wise reductions, so (as everywhere else in the
-        # suite) the bit-identity contract is across the VM engines.
-        ("chrongear", "ncheby:2:1", ("perrank", "batched")),
+        # the VM's block-wise reductions, so the bit-identity contract
+        # is across kernel backends on the VM.
+        ("chrongear", "ncheby:2:1", ("batched",)),
     ])
     @pytest.mark.parametrize("nrhs", [1, 3])
     def test_engines_and_backends_agree(self, cfg, decomp, rhs, solver,

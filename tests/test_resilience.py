@@ -50,7 +50,9 @@ from repro.solvers.capcg import CAPCGSolver
 pytestmark = pytest.mark.filterwarnings(
     "ignore::RuntimeWarning")
 
-ENGINES = ("perrank", "batched")
+#: The virtual machine's one execution engine (the serial context has
+#: no ranks to replicate).
+ENGINES = ("batched",)
 
 #: Kinds an unprotected NaN-class corruption may surface as.
 NAN_KINDS = (BREAKDOWN, NONFINITE_RESIDUAL)
@@ -78,8 +80,7 @@ def _rhs_batch(config, seeds=(1, 2, 3)):
 
 def _make_solver(engine, config, decomp, solver_cls=ChronGearSolver,
                  faults=(), **kwargs):
-    vm = VirtualMachine(decomp, mask=config.mask, engine=engine,
-                        faults=list(faults))
+    vm = VirtualMachine(decomp, mask=config.mask, faults=list(faults))
     pre = make_preconditioner("diagonal", config.stencil, decomp=decomp)
     ctx = DistributedContext(config.stencil, pre, vm)
     kwargs.setdefault("tol", 1e-10)
@@ -301,6 +302,42 @@ class TestRecovery:
             assert diagnosis.data["rollbacks"] == 2
 
 
+class TestRaggedLandEliminated:
+    """Replication and ABFT on a ragged, land-eliminated layout: the
+    halo checksums cover each block's own ring, not its padded slot."""
+
+    @pytest.fixture(scope="class")
+    def layout(self):
+        config = make_test_config(34, 46, seed=1, land_fraction=0.5)
+        decomp = decompose(config.ny, config.nx, 4, 5, mask=config.mask)
+        assert not decomp.is_uniform
+        assert decomp.num_active < decomp.num_blocks
+        return config, decomp
+
+    def test_clean_run_is_free_of_rollbacks(self, layout):
+        config, decomp = layout
+        b = _rhs(config)
+        reference = _make_solver("batched", config, decomp).solve(b)
+        result = _make_solver("batched", config, decomp).solve(
+            b, resilience=True)
+        assert np.array_equal(result.x, reference.x)
+        assert result.extra["resilience"]["counters"]["rollbacks"] == 0
+
+    @pytest.mark.parametrize("fault_maker,kind", [
+        (lambda: RankDeathFault(rank=5, at=9), RANK_LOST),
+        (lambda: BitflipFault(target="halo", rank=1, at=9), SDC_DETECTED),
+    ], ids=["rank_death", "halo_bitflip"])
+    def test_fault_recovers(self, layout, fault_maker, kind):
+        config, decomp = layout
+        b = _rhs(config)
+        reference = _make_solver("batched", config, decomp).solve(b)
+        fault = fault_maker()
+        result = _make_solver("batched", config, decomp,
+                              faults=[fault]).solve(b, resilience=True)
+        assert fault.fired == 1
+        _assert_recovered_identical(result, reference, kinds=(kind,))
+
+
 class TestMultiRHS:
     def test_batched_multi_rhs_recovers(self, config, decomp):
         B = _rhs_batch(config)
@@ -323,7 +360,7 @@ class TestCAPCGGramPoison:
 
     def test_poisoned_gram_diagnosed(self, config, decomp):
         fault = ReductionFault(rank=0, at=3, entry=0)
-        solver = _make_solver("perrank", config, decomp, CAPCGSolver,
+        solver = _make_solver("batched", config, decomp, CAPCGSolver,
                               faults=[fault], max_recoveries=0)
         with pytest.raises(ConvergenceError) as err:
             solver.solve(_rhs(config))
@@ -334,7 +371,7 @@ class TestCAPCGGramPoison:
         # CA-PCG's own spectral recovery: the breakdown is recorded as
         # a structured diagnosis and the restarted epochs re-converge.
         fault = ReductionFault(rank=0, at=3, entry=0)
-        solver = _make_solver("perrank", config, decomp, CAPCGSolver,
+        solver = _make_solver("batched", config, decomp, CAPCGSolver,
                               faults=[fault])
         result = solver.solve(_rhs(config))
         assert fault.fired == 1
@@ -345,10 +382,10 @@ class TestCAPCGGramPoison:
 
     def test_poisoned_gram_resilient_rollback(self, config, decomp):
         b = _rhs(config)
-        reference = _make_solver("perrank", config, decomp,
+        reference = _make_solver("batched", config, decomp,
                                  CAPCGSolver).solve(b)
         fault = ReductionFault(rank=0, at=3, entry=0)
-        solver = _make_solver("perrank", config, decomp, CAPCGSolver,
+        solver = _make_solver("batched", config, decomp, CAPCGSolver,
                               faults=[fault], max_recoveries=0)
         result = solver.solve(b, resilience=True)
         assert fault.fired == 1

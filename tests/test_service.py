@@ -424,6 +424,14 @@ class TestHttpEndpoints:
                 client.solve({"config": "test", "solver": "gmres"})
             assert err.value.status == 400
 
+    def test_retired_engine_is_400(self, fresh_cache):
+        with live_service(jobs=0) as (_service, client):
+            with pytest.raises(ServiceError) as err:
+                client.solve(_request(engine="perrank"))
+            assert err.value.status == 400
+            assert "'serial'" in str(err.value)
+            assert "'batched'" in str(err.value)
+
     def test_unknown_route_is_404(self, fresh_cache):
         with live_service(jobs=0) as (_service, client):
             with pytest.raises(ServiceError) as err:
@@ -551,8 +559,8 @@ class TestServiceResilience:
         assert normalize_request(
             _request(resilience={}))["resilience"] == req["resilience"]
         plain = dict(normalize_request(_request()),
-                     solver="pcsi", engine="perrank", blocks=(4, 4))
-        armed = dict(req, solver="pcsi", engine="perrank",
+                     solver="pcsi", engine="batched", blocks=(4, 4))
+        armed = dict(req, solver="pcsi", engine="batched",
                      blocks=(4, 4))
         assert bucket_key(plain) != bucket_key(armed)
         with pytest.raises(ProtocolError):
@@ -576,8 +584,8 @@ class TestServiceResilience:
         out, health, stats = asyncio.run(main())
         assert out["status"] == "ok"
         assert out["result"]["converged"]
-        # a serial/default engine request was auto-routed to a VM engine
-        assert out["engine"] in ("perrank", "batched")
+        # a serial/default engine request was auto-routed to the VM
+        assert out["engine"] == "batched"
         assert health["ok"] and health["workers"]["alive"]
         assert health["queue_depth"] == 0
         assert health["resilience"]["resilient_solves"] == 1
@@ -585,3 +593,33 @@ class TestServiceResilience:
         assert stats["resilience"] == health["resilience"]
         assert 0.0 <= stats["cache"]["hit_ratio"] <= 1.0
         assert "queue_depth" in stats["coalescer"]
+
+    def test_resilient_solve_matches_in_process(self, fresh_cache):
+        """A resilience request on the default serial server runs on
+        the stacked VM at the server's --blocks and returns exactly the
+        in-process measured solve."""
+        config, (rhs,) = _rhs_variants(1)
+        policy = {"replicate_every": 10, "abft": True}
+
+        async def main():
+            service = SolverService(jobs=0, max_batch=8, max_wait_ms=10,
+                                    blocks=(4, 4))
+            await service.start()
+            out = await service.handle_solve(
+                _request(rhs=rhs, resilience=policy))
+            await service.shutdown()
+            return out
+
+        out = asyncio.run(main())
+        assert out["status"] == "ok"
+        assert out["engine"] == "batched"
+        ref = measure_solver(config, rhs=rhs, check_freq=10,
+                             engine="batched", blocks=(4, 4),
+                             resilience=policy,
+                             cache=ArtifactCache(cache_dir=None),
+                             raise_on_failure=False, **SOLVE)
+        assert ref.extra["resilience"]["counters"]["replications"] > 0
+        got = ServiceClient.solve_result(out)
+        assert got.x.tobytes() == np.asarray(ref.x).tobytes()
+        assert got.iterations == ref.iterations
+        assert got.residual_norm == ref.residual_norm

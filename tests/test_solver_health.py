@@ -39,7 +39,7 @@ from repro.solvers import (
 )
 
 ALL_SOLVERS = [ChronGearSolver, PCSISolver, PCGSolver, PipeCGSolver]
-CONTEXTS = ("serial", "perrank", "batched")
+CONTEXTS = ("serial", "batched")
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +50,7 @@ def config():
 @pytest.fixture(scope="module")
 def decomp(config):
     d = decompose(config.ny, config.nx, 4, 4, mask=config.mask)
-    assert d.supports_batched
+    assert d.is_uniform and d.num_active == d.num_blocks
     return d
 
 
@@ -65,7 +65,7 @@ def _context(kind, config, decomp):
                               decomp=None if kind == "serial" else decomp)
     if kind == "serial":
         return SerialContext(config.stencil, pre)
-    vm = VirtualMachine(decomp, mask=config.mask, engine=kind)
+    vm = VirtualMachine(decomp, mask=config.mask)
     return DistributedContext(config.stencil, pre, vm)
 
 
@@ -328,16 +328,16 @@ class TestScalePrimitive:
         rng = np.random.default_rng(5)
         g = rng.standard_normal(config.shape) * config.mask
         outs = {}
-        for kind in ("perrank", "batched"):
+        for kind in CONTEXTS:
             ctx = _context(kind, config, decomp)
             v = ctx.from_global(g)
             ctx.scale(1.0 / 3.0, v, phase="setup")
             outs[kind] = ctx.to_global(v)
             assert ctx.ledger.counts("setup").flops > 0
-        assert np.array_equal(outs["perrank"], outs["batched"])
+        assert np.array_equal(outs["serial"], outs["batched"])
 
     def test_scale_records_one_flop_unit(self, config, decomp):
-        ctx = _context("perrank", config, decomp)
+        ctx = _context("batched", config, decomp)
         v = ctx.from_global(np.ones(config.shape) * config.mask)
         before = ctx.ledger.counts("computation").flops
         ctx.scale(2.0, v)
