@@ -62,7 +62,7 @@ GATE_SSTEP = 4
 
 
 def _make_context(config, decomp, kernels):
-    vm = VirtualMachine(decomp, mask=config.mask, engine="batched")
+    vm = VirtualMachine(decomp, mask=config.mask)
     pre = evp_for_config(config, decomp=decomp, kernels=kernels)
     return DistributedContext(config.stencil, pre, vm, kernels=kernels)
 

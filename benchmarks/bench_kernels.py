@@ -1,15 +1,14 @@
-"""Benchmark: kernel backends (numpy reference vs fused vs numba).
+"""Benchmark: kernel backends (numpy reference vs fused).
 
 Times the two solver hot paths -- the nine-point stencil matvec and the
 EVP preconditioner apply, the latter both on the global field and on
 the virtual machine's stacked block layout -- plus the full P-CSI+EVP
 solve on the virtual machine over a 16x16 decomposition, once per
-available kernel backend, and writes the results (with speedups over
+kernel backend, and writes the results (with speedups over
 the ``numpy`` reference) to ``BENCH_kernels.json``.
 
-Deterministic backends must agree bit-for-bit -- asserted here on every
-metric's output.  The optional ``numba`` backend is allowed 1e-12
-relative drift and is benchmarked only when importable.
+The backends must agree bit-for-bit -- asserted here on every
+metric's output.
 
 The file doubles as the perf-regression gate for CI::
 
@@ -48,9 +47,6 @@ SPEEDUP_FLOOR = {"full": 2.0, "quick": 1.4}
 
 #: The metric the gate reads.
 GATED = "evp_stack_s"
-
-#: Relative round-off budget for the non-deterministic numba backend.
-NUMBA_RTOL = 1e-12
 
 
 def _time_op(fn, repeats, warmup=1):
@@ -116,20 +112,11 @@ def bench_backend(name, config, decomp, b_global, eig_bounds, repeats,
     return entry, outputs
 
 
-def check_outputs(reference, outputs, deterministic):
-    """Deterministic backends: bit-identical.  numba: 1e-12 relative."""
+def check_outputs(reference, outputs):
+    """Every backend is bit-identical to the numpy reference."""
     for key, ref in reference.items():
-        got = outputs[key]
-        if deterministic:
-            if not np.array_equal(ref, got):
-                raise AssertionError(
-                    f"deterministic backend disagrees with numpy on {key}")
-        else:
-            scale = np.abs(ref).max() or 1.0
-            drift = np.abs(got - ref).max() / scale
-            if drift > NUMBA_RTOL:
-                raise AssertionError(
-                    f"numba drift {drift:.2e} exceeds {NUMBA_RTOL:g} on {key}")
+        if not np.array_equal(ref, outputs[key]):
+            raise AssertionError(f"backend disagrees with numpy on {key}")
 
 
 def run_gate(report, baseline_path, mode, regression_fraction):
@@ -219,8 +206,6 @@ def main(argv=None):
     eig_bounds = probe.eig_bounds
 
     backends = available_backends()
-    if "numpy" not in backends:
-        raise AssertionError("the numpy reference backend must be available")
     # Reference first, so every other backend can be checked against it.
     order = ["numpy"] + [n for n in backends if n != "numpy"]
 
@@ -244,7 +229,7 @@ def main(argv=None):
         if reference is None:
             reference = outputs
         else:
-            check_outputs(reference, outputs, entry["deterministic"])
+            check_outputs(reference, outputs)
         report["backends"][name] = entry
 
     base = report["backends"]["numpy"]

@@ -18,7 +18,7 @@ Commands
     ``ncheby:D[:K]``; ``--precond-degree`` / ``--newton-steps``
     override the suffix.
     ``--engine {serial,batched}`` selects the serial context or the
-    stacked virtual machine; ``--kernels {auto,numpy,fused,numba}`` the kernel
+    stacked virtual machine; ``--kernels {auto,numpy,fused}`` the kernel
     backend (default ``$REPRO_KERNELS`` or ``auto``);
     ``--inject-fault SPEC`` (repeatable) attaches
     deterministic fault injectors to exercise the solver guardrails,
@@ -614,8 +614,8 @@ def build_parser():
                               "machine (default: the persisted tuned "
                               "choice if any, else serial)")
     p_solve.add_argument("--kernels", default=None,
-                         help="kernel backend: auto, numpy, fused or "
-                              "numba (default: $REPRO_KERNELS or auto)")
+                         help="kernel backend: auto, numpy or fused "
+                              "(default: $REPRO_KERNELS or auto)")
     p_solve.add_argument("--blocks", default="4,4",
                          help="block grid 'by,bx' for the virtual "
                               "machine (default: 4,4)")

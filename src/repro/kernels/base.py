@@ -11,10 +11,7 @@ hot paths of the reproduction:
 Backends change *execution strategy only* -- never the arithmetic.  The
 ``deterministic`` flag records the contract: a deterministic backend
 performs bit-for-bit the same IEEE operation sequence as the numpy
-reference, so solver iterates are bit-identical under it.  The optional
-``numba`` backend relaxes this to a small round-off drift (different
-but valid evaluation of the same formulas; the parity suite bounds it
-at 1e-12 relative).
+reference, so solver iterates are bit-identical under it.
 
 Pieces that must stay backend-independent -- the EVP influence-matrix
 construction and its LU-based ring correction -- live on
@@ -30,33 +27,13 @@ import numpy as np
 
 
 class KernelBackend:
-    """Base class for kernel backends (see module docstring).
+    """Base class for kernel backends (see module docstring)."""
 
-    ``xp`` is the array-module namespace the backend computes with --
-    numpy by default, or a GPU module (CuPy, ``jax.numpy``) resolved by
-    :func:`repro.kernels.resolve_array_module`.  Backends route their
-    array allocations and elementwise programs through ``self.xp`` so
-    the same code runs unchanged on device arrays; with ``xp = numpy``
-    every operation is literally the pre-existing numpy call, so the
-    default path stays bit-identical.
-    """
-
-    #: Registry name ("numpy", "fused", "numba").
+    #: Registry name ("numpy", "fused").
     name = "abstract"
 
     #: Whether results are bit-identical to the numpy reference.
     deterministic = True
-
-    #: Whether the backend can run in this process (numba flips this
-    #: to False when the import fails; the registry reports why).
-    available = True
-
-    #: Human-readable reason when ``available`` is False.
-    unavailable_reason = None
-
-    def __init__(self, xp=None):
-        #: Array-module namespace (numpy unless a GPU module was bound).
-        self.xp = np if xp is None else xp
 
     # ------------------------------------------------------------------
     # nine-point stencil

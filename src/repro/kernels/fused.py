@@ -317,8 +317,7 @@ class FusedKernels(KernelBackend):
     name = "fused"
     deterministic = True
 
-    def __init__(self, xp=None):
-        super().__init__(xp)
+    def __init__(self):
         self._tmp = {}
         #: Precompiled :class:`_StackedStencilProgram` per stacked
         #: coefficient set and batch geometry.
@@ -328,7 +327,7 @@ class FusedKernels(KernelBackend):
         key = (shape, np.dtype(dtype).str)
         buf = self._tmp.get(key)
         if buf is None:
-            buf = self.xp.empty(shape, dtype=dtype)
+            buf = np.empty(shape, dtype=dtype)
             self._tmp[key] = buf
         return buf
 
@@ -337,23 +336,27 @@ class FusedKernels(KernelBackend):
     # in a reused buffer instead of fresh temporaries.
     # ------------------------------------------------------------------
     def stencil_apply(self, coeffs, x, padded, out):
-        xp = self.xp
         t = self._scratch(x.shape, x.dtype)
-        cv = (lambda c: c[..., None]) if x.ndim == 3 else (lambda c: c)
-        xp.multiply(cv(coeffs.c), x, out=out)
-        for coeff, view in (
+        terms = (
             (coeffs.n, padded[2:, 1:-1]), (coeffs.s, padded[:-2, 1:-1]),
             (coeffs.e, padded[1:-1, 2:]), (coeffs.w, padded[1:-1, :-2]),
             (coeffs.ne, padded[2:, 2:]), (coeffs.nw, padded[2:, :-2]),
             (coeffs.se, padded[:-2, 2:]), (coeffs.sw, padded[:-2, :-2]),
-        ):
-            xp.multiply(cv(coeff), view, out=t)
-            out += t
+        )
+        if x.ndim == 3:
+            np.multiply(coeffs.c[..., None], x, out=out)
+            for coeff, view in terms:
+                np.multiply(coeff[..., None], view, out=t)
+                out += t
+        else:
+            np.multiply(coeffs.c, x, out=out)
+            for coeff, view in terms:
+                np.multiply(coeff, view, out=t)
+                out += t
         return out
 
     def stencil_apply_stacked(self, coeffs, stack, h, bny, bnx, out):
-        xp = self.xp
-        if (stack.ndim == 4 and xp is np and stack.flags.c_contiguous
+        if (stack.ndim == 4 and stack.flags.c_contiguous
                 and stack.dtype == np.float64):
             key = (id(coeffs), stack.shape, h, bny, bnx)
             prog = self._stencil_multi.get(key)
@@ -369,11 +372,11 @@ class FusedKernels(KernelBackend):
         def view(dj, di):
             return stack[:, h + dj:h + dj + bny, h + di:h + di + bnx]
 
-        xp.multiply(cv(coeffs["c"]), view(0, 0), out=out)
+        np.multiply(cv(coeffs["c"]), view(0, 0), out=out)
         for name, dj, di in (("n", 1, 0), ("s", -1, 0), ("e", 0, 1),
                              ("w", 0, -1), ("ne", 1, 1), ("nw", 1, -1),
                              ("se", -1, 1), ("sw", -1, -1)):
-            xp.multiply(cv(coeffs[name]), view(dj, di), out=t)
+            np.multiply(cv(coeffs[name]), view(dj, di), out=t)
             out += t
         return out
 
@@ -386,8 +389,14 @@ class FusedKernels(KernelBackend):
     def evp_solve(self, engine, plan, y, out=None):
         y = validate_evp_shapes(engine, y)
         b, my, mx = engine.batch, engine.my, engine.mx
+        if y.ndim == 4 and y.shape[3] == 1:
+            # One column: the flat program on that column's view runs
+            # the same per-column arithmetic with a 1-D gather.
+            x = self.evp_solve(engine, plan, y[..., 0],
+                               None if out is None else out[..., 0])
+            return x[..., None] if out is None else out
         if y.ndim == 4:
-            return self._evp_solve_multi(engine, plan, y, out)
+            return self._evp_solve_batch(engine, plan, y, out)
         buf, split = plan.buf, plan.split
         state = buf[:split]
         buf[split:] = y.reshape(b * plan.n_interior)
@@ -404,7 +413,7 @@ class FusedKernels(KernelBackend):
         out[...] = x
         return out
 
-    def _evp_solve_multi(self, engine, plan, y, out):
+    def _evp_solve_batch(self, engine, plan, y, out):
         b, my, mx = engine.batch, engine.my, engine.mx
         nrhs = y.shape[3]
         ms = plan.multi_scratch(b, engine.k, nrhs)

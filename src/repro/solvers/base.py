@@ -6,20 +6,36 @@ are fair (section 5.2): the convergence criterion (masked residual
 checks every 10 iterations -- each check is an extra global reduction,
 which is P-CSI's only reduction), and the iteration budget.
 
+One guarded loop
+----------------
+Every solve runs through one loop over an ``(ny, nx, k)`` batch of
+right-hand sides.  A 2-D ``b`` is the ``k = 1`` batch: it runs exactly
+the arithmetic of a batch column, and only at the end is the outcome
+presented as a single-RHS result -- ``x`` of shape ``(ny, nx)``, no
+``multi_rhs``/``per_rhs_*`` keys in ``extra``.  All columns share each
+halo exchange, stencil application, preconditioner application and
+(fused, ``k``-word) global reduction; per column the arithmetic stream
+is bit-identical to a solve of that column alone.
+
 Guardrails
 ----------
-The convergence loop is *guarded*: it refuses non-finite inputs at
-entry, exits immediately for a zero right-hand side, watches every
+The loop is *guarded*, per column: it refuses non-finite inputs at
+entry, exits at iteration 0 for a zero right-hand side, watches every
 checked residual norm for NaN/Inf and for divergence (growth past
-``divergence_factor * |b|`` across consecutive checks), and converts
-in-iteration breakdowns (:class:`~repro.core.errors.BreakdownError`)
-into structured failures.  Every abnormal stop produces a
-:class:`~repro.solvers.health.SolverDiagnosis` and a *partial*
-:class:`~repro.solvers.result.SolveResult` -- iterate, residual
-history, setup and loop events -- attached to the
+``divergence_factor * |b|`` across consecutive checks), and stops a
+column whose residual stagnates.  A finished column is frozen into the
+output at the iteration where it finished and compacted out of the
+loop state, so later iterations do no work for it.  A non-finite
+reduction inside an iteration poisons only its own column, which the
+next check reports as ``nonfinite_residual``; a
+:class:`~repro.core.errors.BreakdownError` raised by the recurrence is
+an SPD violation and fails every still-running column.  Every abnormal
+stop produces a :class:`~repro.solvers.health.SolverDiagnosis` and a
+*partial* :class:`~repro.solvers.result.SolveResult` -- iterate,
+residual history, setup and loop events -- attached to the
 :class:`~repro.core.errors.ConvergenceError` (or returned directly with
-``raise_on_failure=False``), so no diagnostic the ledger collected is
-ever discarded.
+``raise_on_failure=False``); each diagnosis carries the last finite
+checked residual and the per-phase event ledger in ``data``.
 
 The guardrail checks reuse residual norms the solver already reduced
 and local ``isfinite`` scans of data already in memory; they add no
@@ -29,29 +45,35 @@ are unaffected.
 Checkpoint/restart
 ------------------
 ``solve`` accepts a :class:`~repro.core.checkpoint.CheckpointPolicy`
-(``checkpoint=``) and a snapshot path (``resume_from=``).  A snapshot
-captures the *complete* loop state -- every context vector exported to
-global layout, the scalar recurrence state, the residual history, the
-guardrail counters, the per-phase event ledger so far, and
-solver-specific state (P-CSI's Chebyshev interval and Lanczos
-configuration) -- so a resumed solve replays the exact arithmetic the
-uninterrupted run would have performed: the final
-:class:`~repro.solvers.result.SolveResult` (iterate, iteration count,
-residual history, event stream) is **bit-identical** in every context
-and under every deterministic kernel backend.  Vectors round-trip
+(``checkpoint=``) and a snapshot path (``resume_from=``).  Every solve
+writes one snapshot kind, ``"solver"`` (checkpoint format version 2),
+capturing the *complete* loop state: every context vector (and list of
+vectors, such as CA-PCG's basis) exported to global layout, the
+per-column recurrence coefficients, the solver's dense state arrays
+(:attr:`IterativeSolver.dense_state`), the per-column guardrail
+counters and outputs, the residual histories, the per-phase event
+ledger so far, and solver-specific state (the Chebyshev interval and
+Lanczos configuration).  A resumed solve replays the exact arithmetic
+the uninterrupted run would have performed: the final result (iterate,
+iteration counts, residual history, event stream) is **bit-identical**
+in every context and under every kernel backend.  Vectors round-trip
 through ``context.to_global``/``from_global`` (pure data movement),
 which also makes snapshots portable across kernel backends.  A
-serial-context snapshot resumes under the virtual machine too, but
-the continued run then follows the distributed reduction ordering --
+serial-context snapshot resumes under the virtual machine too, but the
+continued run then follows the distributed reduction ordering --
 bit-identity holds per arithmetic stream, not across them.
 
-Snapshots are refused on mismatch: a different solver, grid shape,
-right-hand side (content digest), tolerance or check frequency raises
+A diagnosed failure also writes a snapshot when the policy's
+``on_failure`` is set; resuming it with a larger iteration budget
+continues the columns whose budget ran out.  Snapshots are refused on
+mismatch: a different solver, grid shape, column count, right-hand
+side (content digest), tolerance or check frequency raises
 :class:`~repro.core.checkpoint.CheckpointError` instead of silently
 producing a non-reproducible run.
 """
 
 import abc
+import math
 
 import numpy as np
 
@@ -76,6 +98,15 @@ from repro.solvers.health import (
     SolverDiagnosis,
 )
 from repro.solvers.result import SolveResult
+
+#: Loop bookkeeping indexed by *running* column (compacted as columns
+#: finish); plain lists, so the per-check guardrails are cheap.
+_RUNNING_KEYS = ("active", "b_norms", "thresholds", "div_limits",
+                 "res_norms", "best", "cwp", "prev", "growing")
+
+#: Loop outputs indexed by *original* column.
+_OUTPUT_KEYS = ("b_norms_all", "per_iter", "per_conv", "per_norm",
+                "per_stag")
 
 
 class IterativeSolver(abc.ABC):
@@ -125,6 +156,14 @@ class IterativeSolver(abc.ABC):
     #: divergence (one spike at a check boundary is not a verdict).
     divergence_checks = 2
 
+    #: Loop-state entries that are small dense arrays with a trailing
+    #: column axis rather than context vectors (CA-PCG's coordinate
+    #: system): checkpointed as they are and compacted by indexing.
+    dense_state = ()
+
+    #: Solver settings a snapshot must match to resume bit-identically.
+    checkpoint_knobs = ("tol", "check_freq")
+
     def __init__(self, context, tol=DEFAULT_SOLVER_TOLERANCE,
                  max_iterations=10000,
                  check_freq=DEFAULT_CONVERGENCE_CHECK_FREQ,
@@ -153,12 +192,23 @@ class IterativeSolver(abc.ABC):
               resilience=None):
         """Solve ``A x = b``.
 
-        ``b`` and ``x0`` are global ``(ny, nx)`` arrays (``x0`` defaults
-        to zero).  Values on land are ignored (masked).  Returns a
+        ``b`` is a global ``(ny, nx)`` array, a ``(ny, nx, k)`` batch,
+        or a list/tuple of ``(ny, nx)`` fields (stacked into a batch).
+        ``x0`` defaults to zero; a 2-D ``x0`` is shared by every column.
+        Values on land are ignored (masked).  Returns a
         :class:`~repro.solvers.result.SolveResult`; abnormal stops raise
         a :class:`~repro.core.errors.ConvergenceError` carrying the
         partial result and a structured diagnosis (see the module
         docstring).
+
+        A batch result has ``x`` of shape ``(ny, nx, k)``; its scalar
+        fields summarize the batch (worst residual norm, most
+        iterations, ``converged`` = every column converged) and
+        ``extra`` carries the per-column truth (``per_rhs_iterations``,
+        ``per_rhs_converged``, ``per_rhs_residual_norm``,
+        ``per_rhs_b_norm``, and ``per_rhs_diagnosis`` for failed
+        columns).  The batch-level diagnosis is the first failing
+        column's.
 
         ``checkpoint`` is an optional
         :class:`~repro.core.checkpoint.CheckpointPolicy`: the loop
@@ -177,12 +227,6 @@ class IterativeSolver(abc.ABC):
         replica instead of failing the solve -- recoveries are recorded
         in ``result.extra["resilience"]``.  Requires a distributed
         (virtual-machine) context.
-
-        **Multi-RHS batches**: ``b`` may also be a list/tuple of
-        ``(ny, nx)`` fields or a single ``(ny, nx, nrhs)`` array -- the
-        solve then runs all columns through one batched iteration loop
-        (see :meth:`_solve_multi`) and returns a result whose ``x`` is
-        ``(ny, nx, nrhs)`` with per-column accounting in ``extra``.
         """
         runtime = None
         if resilience is not None:
@@ -195,296 +239,322 @@ class IterativeSolver(abc.ABC):
                 runtime.detach()
                 self._active_resilience = None
 
-    def _attach_resilience(self, runtime, state, meta, history):
+    def _attach_resilience(self, runtime, state, loop, history):
         """Bind the runtime to the vm and capture the initial replica."""
         runtime.attach()
         self._active_resilience = runtime
-        runtime.capture(state, meta, len(history),
+        runtime.capture(state, loop, len(history),
                         solver_meta=self._snapshot_solver_meta())
 
     def _solve_guarded(self, b, x0, checkpoint, resume_from, runtime):
+        """The guarded loop (see the module docstring).
+
+        ``loop`` holds all bookkeeping besides the solver's own state:
+        the iteration counter, the running columns' guardrail lists
+        (:data:`_RUNNING_KEYS`) and the per-column outputs
+        (:data:`_OUTPUT_KEYS`, ``x_full``, ``per_diag``, ``per_hist``).
+        It is what resilience replicas capture and checkpoints store.
+        """
         if isinstance(b, (list, tuple)):
             b = np.stack([np.asarray(col, dtype=np.float64) for col in b],
                          axis=-1)
         b = np.asarray(b)
-        if b.ndim == 3:
-            return self._solve_multi(b, x0=x0, checkpoint=checkpoint,
-                                     resume_from=resume_from,
-                                     runtime=runtime)
+        batch = b.ndim == 3
+        if not batch:
+            b = b[..., None]
         ctx = self.context
         ledger = ctx.ledger
         mask = ctx.mask
+        nrhs = int(b.shape[2])
+        if b.shape[:2] != mask.shape:
+            raise SolverError(
+                f"b has grid shape {b.shape[:2]}, context expects "
+                f"{mask.shape}")
+        if x0 is not None:
+            x0 = np.asarray(x0, dtype=np.float64)
+            if x0.ndim == 2:
+                x0 = np.repeat(x0[:, :, None], nrhs, axis=2)
+            if x0.shape != b.shape:
+                raise SolverError(
+                    f"x0 shape {x0.shape} does not match b shape "
+                    f"{b.shape}")
 
         entry_diag = self._check_entry(b, x0, mask)
         if entry_diag is not None:
-            return self._fail_before_setup(entry_diag, b, x0, mask)
+            loop = _new_loop(np.full(nrhs, np.nan), mask.shape, batch)
+            if x0 is not None:
+                loop["x_full"] = np.where(mask[..., None], x0, 0.0)
+            loop["per_norm"][:] = np.nan
+            return self._result(loop, [], {}, {}, {},
+                                diagnosis=entry_diag)
 
-        # np.where, not multiplication: NaN * 0 is NaN, so a (legitimate)
-        # non-finite land value would survive `b * mask` and poison the
-        # solve the entry guard just vetted.
-        b_masked = np.where(mask, b, 0.0)
-        b_digest = digest_of("solve-checkpoint", b_masked)
+        b_masked = np.where(mask[..., None], b, 0.0)
+        # Snapshots are keyed on the right-hand side's content.
+        b_digest = (digest_of("solve-checkpoint", b_masked)
+                    if checkpoint is not None or resume_from is not None
+                    else None)
 
-        if resume_from is not None:
-            (state, history, loop, acct,
-             b_norm) = self._restore_checkpoint(resume_from, b_digest)
-            threshold = self.tol * b_norm
-            iterations = loop["iterations"]
-            res_norm = loop["res_norm"]
-            checked_at = loop["checked_at"]
-            best_norm = loop["best_norm"]
-            checks_without_progress = loop["checks_without_progress"]
-            prev_checked = loop["prev_checked"]
-            growing_past_limit = loop["growing_past_limit"]
-        else:
-            b_vec = ctx.from_global(b_masked)
-            if x0 is None:
-                x_vec = ctx.new_vector()
+        saved_nrhs = ctx.nrhs
+        try:
+            if resume_from is not None:
+                state, loop, history, acct = self._restore_checkpoint(
+                    resume_from, b_digest, nrhs)
+                loop["batch"] = batch
             else:
-                x_vec = ctx.from_global(np.where(mask, x0, 0.0))
-
-            before_setup = ledger.snapshot()
-            b_norm = ctx.norm2(b_vec, phase="setup")
-            if b_norm == 0.0:
-                # Zero RHS: the exact solution of the SPD system is
-                # x = 0; running even ``check_freq`` iterations to
-                # discover that wastes halo exchanges and reductions.
-                after_setup = ledger.snapshot()
-                return SolveResult(
-                    x=ctx.to_global(ctx.new_vector()),
-                    iterations=0, converged=True,
-                    residual_norm=0.0, b_norm=0.0,
-                    residual_history=[],
-                    solver=self.name,
-                    preconditioner=ctx.preconditioner.name,
-                    events={},
-                    setup_events=_diff(after_setup, before_setup),
-                    extra={"zero_rhs": True},
-                )
-            threshold = self.tol * b_norm
-            try:
-                state = self._setup(b_vec, x_vec)
-            except BreakdownError as exc:
-                diagnosis = SolverDiagnosis(
-                    kind=BREAKDOWN, solver=self.name,
-                    message=f"setup: {exc}", iteration=0, b_norm=b_norm,
-                )
-                result = SolveResult(
-                    x=ctx.to_global(x_vec),
-                    iterations=0, converged=False,
-                    residual_norm=float("nan"), b_norm=b_norm,
-                    residual_history=[], solver=self.name,
-                    preconditioner=ctx.preconditioner.name,
-                    events={},
-                    setup_events=_diff(ledger.snapshot(), before_setup),
-                    extra={"diagnosis": diagnosis.to_dict()},
-                    diagnosis=diagnosis,
-                )
-                return self._raise_or_return(diagnosis, result)
-            after_setup = ledger.snapshot()
-            acct = {"after_setup": after_setup,
-                    "before_setup": before_setup,
-                    "setup_events": None, "loop_base": {},
-                    "b_digest": b_digest}
-
-            history = []
-            iterations = 0
-            res_norm = float("inf")
-            checked_at = -1
-            best_norm = float("inf")
-            checks_without_progress = 0
-            prev_checked = None
-            growing_past_limit = 0
-
-        converged = False
-        stagnated = False
-        diagnosis = None
-        divergence_limit = (self.divergence_factor * b_norm
-                            if self.divergence_factor > 0 else float("inf"))
-
-        def loop_meta():
-            # Reads the *current* local values when invoked (closure):
-            # everything the loop needs to continue exactly where it
-            # stopped.
-            return {
-                "iterations": iterations,
-                "res_norm": res_norm,
-                "checked_at": checked_at,
-                "best_norm": best_norm,
-                "checks_without_progress": checks_without_progress,
-                "prev_checked": prev_checked,
-                "growing_past_limit": growing_past_limit,
-            }
-
-        if runtime is not None:
-            self._attach_resilience(runtime, state, loop_meta(), history)
-
-        while iterations < self.max_iterations:
-            iterations += 1
-            try:
+                ctx.nrhs = nrhs
+                before_setup = ledger.snapshot()
+                b_vec = ctx.from_global(b_masked)
+                b_norms_all = np.asarray(ctx.norm2(b_vec, phase="setup"))
+                loop = _new_loop(b_norms_all, mask.shape, batch)
+                zero = b_norms_all == 0.0
+                # Zero columns: the exact solution of the SPD system is
+                # x = 0; they exit here, at iteration 0.
+                loop["per_conv"][zero] = True
+                active = np.flatnonzero(~zero)
+                if active.size == 0:
+                    return self._result(
+                        loop, [], {}, _diff(ledger.snapshot(),
+                                            before_setup), {})
+                if active.size < nrhs:
+                    ctx.nrhs = int(active.size)
+                    b_vec = ctx.compact(b_vec, active)
+                if x0 is None:
+                    x_vec = ctx.new_vector()
+                else:
+                    x_vec = ctx.from_global(np.ascontiguousarray(
+                        np.where(mask[..., None], x0, 0.0)[..., active]))
                 try:
-                    self._iterate(state, iterations)
+                    state = self._setup(b_vec, x_vec)
                 except BreakdownError as exc:
-                    if runtime is not None and runtime.intercept(
-                            "breakdown", iterations):
-                        # A transient corruption often presents as a
-                        # breakdown (non-finite inner products); roll
-                        # back once and replay -- a genuine numerical
-                        # breakdown recurs and takes the normal path.
-                        raise runtime.suspect(
-                            f"breakdown suspected as corruption: {exc}",
-                            detail={"check": "breakdown"}) from exc
+                    loop["x_full"][..., active] = ctx.to_global(x_vec)
+                    loop["per_norm"][active] = np.nan
                     diagnosis = SolverDiagnosis(
                         kind=BREAKDOWN, solver=self.name,
-                        message=str(exc), iteration=iterations,
-                        residual_norm=res_norm, b_norm=b_norm,
+                        message=f"setup: {exc}", iteration=0,
+                        b_norm=float(np.max(b_norms_all)),
                     )
-                    break
-                if iterations % self.check_freq == 0:
-                    res_norm = self._residual_norm(state)
-                    checked_at = iterations
-                    history.append((iterations, res_norm))
-                    if not np.isfinite(res_norm):
+                    return self._result(
+                        loop, [], {}, _diff(ledger.snapshot(),
+                                            before_setup), {},
+                        diagnosis=diagnosis)
+                acct = {"after_setup": ledger.snapshot(),
+                        "before_setup": before_setup,
+                        "setup_events": None, "loop_base": {},
+                        "b_digest": b_digest}
+                history = []
+                b_norms = b_norms_all[active].tolist()
+                width = len(b_norms)
+                loop.update(
+                    active=active.tolist(), b_norms=b_norms,
+                    thresholds=[self.tol * v for v in b_norms],
+                    div_limits=[self.divergence_factor * v
+                                if self.divergence_factor > 0 else math.inf
+                                for v in b_norms],
+                    res_norms=[math.inf] * width, best=[math.inf] * width,
+                    cwp=[0] * width, prev=[math.nan] * width,
+                    growing=[0] * width)
+
+            if runtime is not None:
+                self._attach_resilience(runtime, state, loop, history)
+
+            while (loop["active"]
+                   and loop["iterations"] < self.max_iterations):
+                loop["iterations"] += 1
+                try:
+                    try:
+                        self._iterate(state, loop["iterations"])
+                    except BreakdownError as exc:
                         if runtime is not None and runtime.intercept(
-                                "nonfinite", iterations):
+                                "breakdown", loop["iterations"]):
+                            # A transient corruption often presents as a
+                            # breakdown (non-finite inner products); roll
+                            # back once and replay -- a genuine numerical
+                            # breakdown recurs and takes the normal path.
                             raise runtime.suspect(
-                                f"checked residual norm is {res_norm}; "
-                                f"suspected corruption",
-                                detail={"check": "nonfinite_residual"})
-                        diagnosis = SolverDiagnosis(
-                            kind=NONFINITE_RESIDUAL, solver=self.name,
-                            message=f"checked residual norm is {res_norm}",
-                            iteration=iterations, residual_norm=res_norm,
-                            b_norm=b_norm,
-                            data={"last_finite_norm": prev_checked},
-                        )
+                                f"breakdown suspected as corruption: "
+                                f"{exc}",
+                                detail={"check": "breakdown"}) from exc
+                        self._fail_running(loop, state, BREAKDOWN,
+                                           str(exc))
                         break
-                    if res_norm <= threshold:
-                        converged = True
-                        break
-                    if (res_norm > divergence_limit
-                            and prev_checked is not None
-                            and res_norm > prev_checked):
-                        growing_past_limit += 1
-                        if growing_past_limit >= self.divergence_checks:
-                            diagnosis = SolverDiagnosis(
-                                kind=DIVERGED, solver=self.name,
-                                message=(
-                                    f"|r| = {res_norm:.3e} grew past "
-                                    f"{self.divergence_factor:g} * |b| = "
-                                    f"{divergence_limit:.3e} over "
-                                    f"{growing_past_limit + 1} consecutive "
-                                    f"checks"),
-                                iteration=iterations,
-                                residual_norm=res_norm,
-                                b_norm=b_norm,
-                                data={
-                                    "divergence_factor":
-                                        self.divergence_factor,
-                                    "limit": divergence_limit,
-                                    "history_tail": history[-4:],
-                                },
-                            )
-                            break
-                    else:
-                        growing_past_limit = 0
-                    prev_checked = res_norm
-                    if res_norm < best_norm * (1.0 - 1e-6):
-                        best_norm = res_norm
-                        checks_without_progress = 0
-                    else:
-                        checks_without_progress += 1
-                        if (self.stagnation_checks
-                                and checks_without_progress
-                                >= self.stagnation_checks):
-                            stagnated = True
-                            break
-                    if runtime is not None and runtime.capture_due(
-                            iterations):
-                        # Verify (residual cross-check), then replicate:
-                        # a replica only ever copies vetted state.
-                        runtime.verify_and_capture(
-                            state, loop_meta(), len(history),
-                            solver_meta=self._snapshot_solver_meta())
-            except ResilienceEvent as event:
-                if runtime is None:
-                    raise
-                restored = runtime.rollback(event, iterations)
-                if restored is None:
-                    diagnosis = SolverDiagnosis(
-                        kind=runtime.kind_of(event), solver=self.name,
-                        message=(
+                    if loop["iterations"] % self.check_freq == 0:
+                        self._check(loop, state, history, runtime)
+                        if (runtime is not None and loop["active"]
+                                and runtime.capture_due(
+                                    loop["iterations"])):
+                            # Verify (residual cross-check), then
+                            # replicate: a replica only ever copies
+                            # vetted state.
+                            runtime.verify_and_capture(
+                                state, loop, len(history),
+                                solver_meta=self._snapshot_solver_meta())
+                except ResilienceEvent as event:
+                    if runtime is None:
+                        raise
+                    restored = runtime.rollback(event, loop["iterations"])
+                    if restored is None:
+                        self._fail_running(
+                            loop, state, runtime.kind_of(event),
                             f"{event} (rollback budget of "
-                            f"{runtime.policy.max_rollbacks} exhausted)"),
-                        iteration=iterations, residual_norm=res_norm,
-                        b_norm=b_norm,
-                        data={"rollbacks":
-                              runtime.counters["rollbacks"],
-                              **event.detail},
-                    )
-                    break
-                state, meta, solver_meta, hist_len = restored
-                self._restore_solver_meta(solver_meta or {})
-                del history[hist_len:]
-                iterations = meta["iterations"]
-                res_norm = meta["res_norm"]
-                checked_at = meta["checked_at"]
-                best_norm = meta["best_norm"]
-                checks_without_progress = meta["checks_without_progress"]
-                prev_checked = meta["prev_checked"]
-                growing_past_limit = meta["growing_past_limit"]
+                            f"{runtime.policy.max_rollbacks} exhausted)",
+                            rollbacks=runtime.counters["rollbacks"],
+                            **event.detail)
+                        break
+                    state, loop, solver_meta, hist_len = restored
+                    self._restore_solver_meta(solver_meta or {})
+                    del history[hist_len:]
+                    ctx.nrhs = len(loop["active"])
+                    continue
+                if (checkpoint is not None and loop["active"]
+                        and checkpoint.due(loop["iterations"])):
+                    self._write_checkpoint(checkpoint, state, loop,
+                                           history, acct)
+
+            if loop["active"]:
+                self._exhaust_budget(loop, state, history)
+
+            per_diag = loop["per_diag"]
+            if per_diag:
+                ledger_doc = {name: dict(vars(c)) for name, c in
+                              self._loop_events(acct).items()}
+                for col, diag in per_diag.items():
+                    diag.data.setdefault(
+                        "last_finite_residual",
+                        _last_finite(loop["per_hist"][col]))
+                    diag.data.setdefault("ledger", ledger_doc)
+                if checkpoint is not None and checkpoint.on_failure:
+                    try:
+                        self._write_checkpoint(
+                            checkpoint, state, loop, history, acct,
+                            failure=per_diag[min(per_diag)])
+                    except CheckpointError:
+                        # A failing snapshot must not mask the solver
+                        # failure.
+                        pass
+            return self._result(loop, history, self._loop_events(acct),
+                                self._setup_events(acct),
+                                dict(state.get("extra", {})))
+        finally:
+            ctx.nrhs = saved_nrhs
+
+    # ------------------------------------------------------------------
+    # per-column guardrails
+    # ------------------------------------------------------------------
+    def _check(self, loop, state, history, runtime):
+        """One convergence check: per-column guardrails, then freeze and
+        compact the columns that finished."""
+        iterations = loop["iterations"]
+        loop["checked_at"] = iterations
+        res_norms = _record(loop, history, self._residual_norm(state))
+        if runtime is not None:
+            nonfinite = sum(not math.isfinite(v) for v in res_norms)
+            if nonfinite and runtime.intercept("nonfinite", iterations):
+                raise runtime.suspect(
+                    f"{nonfinite} column(s) checked non-finite; "
+                    f"suspected corruption",
+                    detail={"check": "nonfinite_residual"})
+        loop["res_norms"] = res_norms
+        thresholds, div_limits = loop["thresholds"], loop["div_limits"]
+        prev, growing = loop["prev"], loop["growing"]
+        best, cwp = loop["best"], loop["cwp"]
+        finished = []
+        for pos, (col, norm) in enumerate(zip(loop["active"], res_norms)):
+            if not math.isfinite(norm):
+                finished.append((pos, False, False, self._diagnose(
+                    loop, pos, NONFINITE_RESIDUAL,
+                    f"checked residual norm is {norm}",
+                    last_finite_norm=_last_finite(loop["per_hist"][col]))))
                 continue
-            if checkpoint is not None and checkpoint.due(iterations):
-                self._write_checkpoint(checkpoint, state, history,
-                                       loop_meta(), acct, b_norm)
+            if norm <= thresholds[pos]:
+                finished.append((pos, True, False, None))
+                continue
+            # Divergence: above the limit and still growing (a NaN
+            # ``prev`` -- no earlier check -- compares False).
+            if norm > div_limits[pos] and norm > prev[pos]:
+                growing[pos] += 1
+            else:
+                growing[pos] = 0
+            if growing[pos] >= self.divergence_checks:
+                limit = div_limits[pos]
+                finished.append((pos, False, False, self._diagnose(
+                    loop, pos, DIVERGED,
+                    f"|r| = {norm:.3e} grew past "
+                    f"{self.divergence_factor:g} * |b| = {limit:.3e} "
+                    f"over {growing[pos] + 1} consecutive checks",
+                    divergence_factor=self.divergence_factor,
+                    limit=limit,
+                    history_tail=loop["per_hist"][col][-4:])))
+                continue
+            prev[pos] = norm
+            if norm < best[pos] * (1.0 - 1e-6):
+                best[pos] = norm
+                cwp[pos] = 0
+            else:
+                cwp[pos] += 1
+                if (self.stagnation_checks
+                        and cwp[pos] >= self.stagnation_checks):
+                    finished.append((pos, False, True, None))
+        if not finished:
+            return
+        xg = self.context.to_global(state["x"])
+        for pos, converged, stagnated, diag in finished:
+            _freeze(loop, xg, pos, converged, stagnated, diag)
+        done = {f[0] for f in finished}
+        keep = [pos for pos in range(len(res_norms)) if pos not in done]
+        _retire(loop, keep)
+        if keep:
+            self.context.nrhs = len(keep)
+            self._compact_state(state, np.array(keep))
 
-        if diagnosis is not None:
-            return self._fail(diagnosis, state, history, loop_meta(),
-                              b_norm, acct, checkpoint=checkpoint)
+    def _exhaust_budget(self, loop, state, history):
+        """Budget spent with columns still running: one final explicit
+        check, then freeze the holdouts with their verdicts."""
+        if loop["checked_at"] != loop["iterations"]:
+            loop["res_norms"] = _record(loop, history,
+                                        self._residual_norm(state))
+        xg = self.context.to_global(state["x"])
+        for pos, norm in enumerate(loop["res_norms"]):
+            threshold = loop["thresholds"][pos]
+            conv = math.isfinite(norm) and norm <= threshold
+            diag = None
+            if not math.isfinite(norm):
+                diag = self._diagnose(loop, pos, NONFINITE_RESIDUAL,
+                                      f"final residual norm is {norm}")
+            elif not conv:
+                diag = self._diagnose(
+                    loop, pos, BUDGET_EXHAUSTED,
+                    f"failed to reach |r| <= {threshold:.3e} after "
+                    f"{loop['iterations']} iterations (|r| = {norm:.3e})",
+                    threshold=threshold,
+                    max_iterations=self.max_iterations)
+            _freeze(loop, xg, pos, conv, False, diag)
 
-        if not converged:
-            if checked_at != iterations:
-                res_norm = self._residual_norm(state)
-                history.append((iterations, res_norm))
-                if not np.isfinite(res_norm):
-                    diagnosis = SolverDiagnosis(
-                        kind=NONFINITE_RESIDUAL, solver=self.name,
-                        message=f"final residual norm is {res_norm}",
-                        iteration=iterations, residual_norm=res_norm,
-                        b_norm=b_norm,
-                    )
-                    return self._fail(diagnosis, state, history,
-                                      loop_meta(), b_norm, acct,
-                                      checkpoint=checkpoint)
-            converged = res_norm <= threshold
-            if not converged and not stagnated:
-                diagnosis = SolverDiagnosis(
-                    kind=BUDGET_EXHAUSTED, solver=self.name,
-                    message=(
-                        f"failed to reach |r| <= {threshold:.3e} after "
-                        f"{iterations} iterations (|r| = {res_norm:.3e})"),
-                    iteration=iterations, residual_norm=res_norm,
-                    b_norm=b_norm,
-                    data={"threshold": threshold,
-                          "max_iterations": self.max_iterations},
-                )
-                return self._fail(diagnosis, state, history, loop_meta(),
-                                  b_norm, acct, checkpoint=checkpoint)
-        if stagnated:
-            # Stagnation is a round-off floor, not a failure: record it
-            # and return the result as documented.
-            state.setdefault("extra", {})["stagnated"] = True
+    def _fail_running(self, loop, state, kind, message, **data):
+        """A batch-level verdict (breakdown, exhausted rollbacks): every
+        still-running column fails with its own diagnosis."""
+        xg = self.context.to_global(state["x"])
+        for pos in range(len(loop["active"])):
+            _freeze(loop, xg, pos, False, False,
+                    self._diagnose(loop, pos, kind, message, **data))
+        _retire(loop, [])
 
-        return self._build_result(state, history, iterations, converged,
-                                  res_norm, b_norm, acct)
+    def _diagnose(self, loop, pos, kind, message, **data):
+        """A diagnosis for running column ``pos`` at the current
+        iteration; batch columns are named in the message and data."""
+        if loop["batch"]:
+            col = loop["active"][pos]
+            message = f"column {col}: {message}"
+            data["column"] = col
+        return SolverDiagnosis(
+            kind=kind, solver=self.name, message=message,
+            iteration=loop["iterations"],
+            residual_norm=loop["res_norms"][pos],
+            b_norm=loop["b_norms"][pos], data=data)
 
-    # ------------------------------------------------------------------
-    # guardrail plumbing
-    # ------------------------------------------------------------------
     def _check_entry(self, b, x0, mask):
         """Entry guard: NaN/Inf on ocean points of ``b`` or ``x0``."""
         for label, arr in (("b", b), ("x0", x0)):
-            if arr is None:
+            if arr is None or np.isfinite(arr).all():
                 continue
             values = np.asarray(arr)[mask]
             if not np.all(np.isfinite(values)):
@@ -498,49 +568,63 @@ class IterativeSolver(abc.ABC):
                 )
         return None
 
-    def _fail_before_setup(self, diagnosis, b, x0, mask):
-        """Fail with a minimal partial result (no solver state yet)."""
-        x = np.zeros_like(np.asarray(b, dtype=np.float64)) if x0 is None \
-            else np.where(mask, np.asarray(x0, dtype=np.float64), 0.0)
+    def _result(self, loop, history, events, setup_events, extra,
+                diagnosis=None):
+        """The one place a loop outcome becomes a :class:`SolveResult`.
+
+        A 2-D solve is presented as a single-RHS result: ``x`` is
+        ``(ny, nx)`` and ``extra`` has no per-column keys.  Raises or
+        returns according to ``raise_on_failure`` when a column failed
+        (or ``diagnosis`` names a batch-level failure).
+        """
+        per_diag = loop["per_diag"]
+        if diagnosis is None and per_diag:
+            diagnosis = per_diag[min(per_diag)]
+        b_norms_all = loop["b_norms_all"]
+        zero_cols = [int(c) for c in np.flatnonzero(b_norms_all == 0.0)]
+        stag_cols = [int(c) for c in np.flatnonzero(loop["per_stag"])]
+        if zero_cols and len(zero_cols) == b_norms_all.size:
+            extra["zero_rhs"] = True
+        if stag_cols:
+            extra["stagnated"] = True
+        x = loop["x_full"]
+        if loop["batch"]:
+            extra["multi_rhs"] = int(b_norms_all.size)
+            extra["per_rhs_iterations"] = [int(v) for v in loop["per_iter"]]
+            extra["per_rhs_converged"] = [bool(v) for v in loop["per_conv"]]
+            extra["per_rhs_residual_norm"] = [float(v)
+                                              for v in loop["per_norm"]]
+            extra["per_rhs_b_norm"] = [float(v) for v in b_norms_all]
+            if zero_cols:
+                extra["zero_rhs_columns"] = zero_cols
+            if stag_cols:
+                extra["stagnated_columns"] = stag_cols
+            if per_diag:
+                extra["per_rhs_diagnosis"] = {
+                    str(col): diag.to_dict()
+                    for col, diag in sorted(per_diag.items())}
+        else:
+            x = x[..., 0]
+        if diagnosis is not None:
+            extra["diagnosis"] = diagnosis.to_dict()
+        if self._active_resilience is not None:
+            extra["resilience"] = self._active_resilience.summary()
         result = SolveResult(
-            x=x, iterations=0, converged=False,
-            residual_norm=float("nan"), b_norm=float("nan"),
-            residual_history=[], solver=self.name,
+            x=x, iterations=int(loop["iterations"]),
+            converged=bool(loop["per_conv"].all()),
+            residual_norm=float(np.max(loop["per_norm"])),
+            b_norm=float(np.max(b_norms_all)),
+            residual_history=history,
+            solver=self.name,
             preconditioner=self.context.preconditioner.name,
-            events={}, setup_events={},
-            extra={"diagnosis": diagnosis.to_dict()},
+            events=events,
+            setup_events=setup_events,
+            extra=extra,
             diagnosis=diagnosis,
         )
-        return self._raise_or_return(diagnosis, result)
-
-    def _fail(self, diagnosis, state, history, loop, b_norm, acct,
-              checkpoint=None):
-        """Build the partial result for an abnormal stop and raise or
-        return it according to ``raise_on_failure``.
-
-        The diagnosis always carries the last *finite* checked residual
-        and the per-phase event ledger at the point of failure, so a
-        checkpoint-resume after diagnosis loses no accounting.  When a
-        checkpoint policy with ``on_failure`` is attached, the full loop
-        state is snapshotted before raising.
-        """
-        diagnosis.data.setdefault("last_finite_residual",
-                                  _last_finite(history))
-        diagnosis.data.setdefault(
-            "ledger",
-            {name: dict(vars(c)) for name, c in self._loop_events(
-                acct).items()})
-        if checkpoint is not None and checkpoint.on_failure:
-            try:
-                self._write_checkpoint(checkpoint, state, history, loop,
-                                       acct, b_norm, failure=diagnosis)
-            except CheckpointError:
-                # A failing snapshot must not mask the solver failure.
-                pass
-        result = self._build_result(state, history, loop["iterations"],
-                                    False, loop["res_norm"], b_norm,
-                                    acct, diagnosis=diagnosis)
-        return self._raise_or_return(diagnosis, result)
+        if diagnosis is not None:
+            return self._raise_or_return(diagnosis, result)
+        return result
 
     def _raise_or_return(self, diagnosis, result):
         if self.raise_on_failure:
@@ -563,33 +647,43 @@ class IterativeSolver(abc.ABC):
         return _add_events(acct["loop_base"],
                            self.context.ledger.since(acct["after_setup"]))
 
-    def _build_result(self, state, history, iterations, converged,
-                      res_norm, b_norm, acct, diagnosis=None):
-        ctx = self.context
-        extra = dict(state.get("extra", {}))
-        if diagnosis is not None:
-            extra["diagnosis"] = diagnosis.to_dict()
-        runtime = getattr(self, "_active_resilience", None)
-        if runtime is not None:
-            extra["resilience"] = runtime.summary()
-        return SolveResult(
-            x=ctx.to_global(state["x"]),
-            iterations=iterations,
-            converged=converged,
-            residual_norm=res_norm,
-            b_norm=b_norm,
-            residual_history=history,
-            solver=self.name,
-            preconditioner=ctx.preconditioner.name,
-            events=self._loop_events(acct),
-            setup_events=self._setup_events(acct),
-            extra=extra,
-            diagnosis=diagnosis,
-        )
+    # ------------------------------------------------------------------
+    # loop state: classification, compaction, checkpoint/restart
+    # ------------------------------------------------------------------
+    def _state_kind(self, name, value):
+        """How a loop-state entry is compacted and checkpointed:
+        ``"scalar"``, ``"seq"`` (a list of context vectors), ``"col"``
+        (an array with a trailing per-column axis) or ``"vec"`` (a
+        context vector)."""
+        if value is None or isinstance(value, (bool, int, float,
+                                               np.generic)):
+            return "scalar"
+        if isinstance(value, list):
+            return "seq"
+        if isinstance(value, np.ndarray) and (value.ndim == 1
+                                              or name in self.dense_state):
+            return "col"
+        return "vec"
 
-    # ------------------------------------------------------------------
-    # checkpoint/restart plumbing
-    # ------------------------------------------------------------------
+    def _compact_state(self, state, keep):
+        """Drop finished columns from every entry of the loop state.
+
+        Context vectors compact through :meth:`SolverContext.compact`
+        (pure data movement); per-column arrays compact by indexing
+        their trailing axis; scalars pass through untouched.
+        """
+        ctx = self.context
+        for name, value in list(state.items()):
+            if name == "extra":
+                continue
+            kind = self._state_kind(name, value)
+            if kind == "seq":
+                state[name] = [ctx.compact(v, keep) for v in value]
+            elif kind == "col":
+                state[name] = np.ascontiguousarray(value[..., keep])
+            elif kind == "vec":
+                state[name] = ctx.compact(value, keep)
+
     def _snapshot_solver_meta(self):
         """Solver-specific state to checkpoint (hook; JSON-able dict).
 
@@ -602,19 +696,29 @@ class IterativeSolver(abc.ABC):
     def _restore_solver_meta(self, meta):
         """Restore what :meth:`_snapshot_solver_meta` captured (hook)."""
 
-    def _write_checkpoint(self, policy, state, history, loop, acct,
-                          b_norm, failure=None):
+    def _write_checkpoint(self, policy, state, loop, history, acct,
+                          failure=None):
         """Snapshot the complete loop state through ``policy``."""
         ctx = self.context
-        arrays = {}
+        active = loop["active"]
+        done = np.setdiff1d(np.arange(loop["b_norms_all"].size), active)
+        arrays = {"x_done": loop["x_full"][..., done]}
+        for key in _RUNNING_KEYS + _OUTPUT_KEYS:
+            arrays[f"loop_{key}"] = np.asarray(loop[key])
         scalars = {}
+        seqs = {}
         for name, value in state.items():
             if name == "extra":
                 continue
-            if value is None or isinstance(value, (bool, int, float)):
+            kind = self._state_kind(name, value)
+            if kind == "scalar":
                 scalars[name] = value
-            elif isinstance(value, np.generic):
-                scalars[name] = value.item()
+            elif kind == "seq":
+                seqs[name] = len(value)
+                for i, v in enumerate(value):
+                    arrays[f"seq_{name}_{i}"] = ctx.to_global(v)
+            elif kind == "col":
+                arrays[f"col_{name}"] = value
             else:
                 # Context vectors export to the engine-independent
                 # global layout -- snapshots resume on any engine.
@@ -623,26 +727,33 @@ class IterativeSolver(abc.ABC):
             "solver": self.name,
             "preconditioner": ctx.preconditioner.name,
             "shape": [int(s) for s in ctx.mask.shape],
+            "nrhs": int(loop["b_norms_all"].size),
             "b_digest": acct["b_digest"],
-            "b_norm": float(b_norm),
-            "tol": self.tol,
-            "check_freq": self.check_freq,
+            "knobs": {knob: getattr(self, knob)
+                      for knob in self.checkpoint_knobs},
             "scalars": sanitize_meta(scalars),
+            "seqs": seqs,
             "extra": sanitize_meta(state.get("extra", {})),
             "solver_state": sanitize_meta(self._snapshot_solver_meta()),
             "precond_state": sanitize_meta(
                 ctx.preconditioner.snapshot_meta()),
             "history": [[int(i), float(r)] for i, r in history],
-            "loop": sanitize_meta(loop),
+            "per_history": [[[int(i), float(r)] for i, r in h]
+                            for h in loop["per_hist"]],
+            "per_diagnosis": {str(c): d.to_dict()
+                              for c, d in loop["per_diag"].items()},
+            "loop": {"iterations": int(loop["iterations"]),
+                     "checked_at": int(loop["checked_at"])},
             "setup_events": _events_to_meta(self._setup_events(acct)),
             "loop_events": _events_to_meta(self._loop_events(acct)),
             "failure": failure.to_dict() if failure is not None else None,
         }
-        return policy.write(loop["iterations"], "solver", arrays, meta,
-                            failure=failure is not None)
+        return policy.write(int(loop["iterations"]), "solver", arrays,
+                            meta, failure=failure is not None)
 
-    def _restore_checkpoint(self, path, b_digest):
-        """Load and verify a snapshot; returns the resumed loop state."""
+    def _restore_checkpoint(self, path, b_digest, nrhs):
+        """Load and verify a snapshot; returns the resumed
+        ``(state, loop, history, acct)``."""
         arrays, meta = read_checkpoint(path, kind="solver")
         ctx = self.context
         if meta.get("solver") != self.name:
@@ -653,659 +764,59 @@ class IterativeSolver(abc.ABC):
             raise CheckpointError(
                 f"checkpoint {path} grid shape {meta.get('shape')} does "
                 f"not match context {list(ctx.mask.shape)}")
-        if meta.get("b_digest") != b_digest:
-            raise CheckpointError(
-                f"checkpoint {path} was written for a different "
-                f"right-hand side -- resuming would not reproduce the "
-                f"original solve")
-        for knob in ("tol", "check_freq"):
-            if meta.get(knob) != getattr(self, knob):
-                raise CheckpointError(
-                    f"checkpoint {path} was written with "
-                    f"{knob}={meta.get(knob)!r}, this solver uses "
-                    f"{getattr(self, knob)!r}; a resumed run would not "
-                    f"be bit-identical")
-        state = {}
-        for name, value in arrays.items():
-            if name.startswith("vec_"):
-                state[name[4:]] = ctx.from_global(value)
-        state.update(meta.get("scalars", {}))
-        state["extra"] = dict(meta.get("extra", {}))
-        self._restore_solver_meta(meta.get("solver_state", {}))
-        ctx.preconditioner.restore_meta(meta.get("precond_state") or {})
-        history = [(int(i), float(r)) for i, r in meta.get("history", [])]
-        loop = dict(meta["loop"])
-        acct = {
-            "after_setup": ctx.ledger.snapshot(),
-            "before_setup": None,
-            "setup_events": _events_from_meta(meta["setup_events"]),
-            "loop_base": _events_from_meta(meta["loop_events"]),
-            "b_digest": b_digest,
-        }
-        return state, history, loop, acct, float(meta["b_norm"])
-
-    # ------------------------------------------------------------------
-    # multi-RHS batched solve
-    # ------------------------------------------------------------------
-    def _solve_multi(self, b, x0=None, checkpoint=None, resume_from=None,
-                     runtime=None):
-        """Solve ``A x_j = b_j`` for every column of a ``(ny, nx, nrhs)``
-        batch through **one** iteration loop.
-
-        All columns share each halo exchange, stencil application,
-        preconditioner application and (fused, ``nrhs``-word) global
-        reduction, which is where the batching speedup comes from.  Per
-        column, the arithmetic stream is *bit-identical* to a standalone
-        single-RHS solve on the same engine and kernel backend: every
-        elementwise update broadcasts scalar-identical coefficients over
-        the trailing axis, and reductions run per column on contiguous
-        copies.
-
-        The guarded-loop semantics apply per column: a column converges,
-        diverges, stagnates, or goes non-finite on its own, is frozen
-        into the output at the iteration where that happened (its exact
-        iteration count lands in ``extra["per_rhs_iterations"]``), and
-        the remaining columns are *compacted* so later iterations do no
-        work for finished columns.  Zero-RHS columns exit at iteration 0.
-        A :class:`BreakdownError` raised by the batched recurrence is a
-        batch-level verdict (SPD violation) and fails all still-active
-        columns.
-
-        The result's scalar fields summarize the batch (worst residual
-        norm, max iterations, ``converged`` = all columns converged);
-        ``extra`` carries the per-column truth, including a
-        ``per_rhs_diagnosis`` dict for failed columns.  With
-        ``raise_on_failure`` the first failing column's diagnosis is
-        raised, carrying the full batch result.
-        """
-        ctx = self.context
-        ledger = ctx.ledger
-        mask = ctx.mask
-        nrhs = int(b.shape[2])
-        if b.shape[:2] != mask.shape:
-            raise SolverError(
-                f"multi-RHS b has grid shape {b.shape[:2]}, context "
-                f"expects {mask.shape}")
-        if x0 is not None:
-            x0 = np.asarray(x0, dtype=np.float64)
-            if x0.ndim == 2:
-                # One shared initial guess for every column.
-                x0 = np.repeat(x0[:, :, None], nrhs, axis=2)
-            if x0.shape != b.shape:
-                raise SolverError(
-                    f"x0 batch shape {x0.shape} does not match b shape "
-                    f"{b.shape}")
-
-        entry_diag = self._check_entry(b, x0, mask)
-        if entry_diag is not None:
-            x = (np.zeros_like(b, dtype=np.float64) if x0 is None
-                 else np.where(mask[..., None], x0, 0.0))
-            result = SolveResult(
-                x=x, iterations=0, converged=False,
-                residual_norm=float("nan"), b_norm=float("nan"),
-                residual_history=[], solver=self.name,
-                preconditioner=ctx.preconditioner.name,
-                events={}, setup_events={},
-                extra={"diagnosis": entry_diag.to_dict()},
-                diagnosis=entry_diag,
-            )
-            return self._raise_or_return(entry_diag, result)
-
-        b_masked = np.where(mask[..., None], b, 0.0)
-        b_digest = digest_of("solve-checkpoint", b_masked)
-
-        # Full-width outputs, indexed by original column id.
-        x_full = np.zeros(mask.shape + (nrhs,))
-        per_iter = np.zeros(nrhs, dtype=np.int64)
-        per_conv = np.zeros(nrhs, dtype=bool)
-        per_norm = np.zeros(nrhs)
-        per_stag = np.zeros(nrhs, dtype=bool)
-        per_hist = [[] for _ in range(nrhs)]
-        per_diag = {}
-
-        saved_nrhs = ctx.nrhs
-        try:
-            if resume_from is not None:
-                (state, acct, b_norms_all, active, loop, outputs,
-                 histories) = self._restore_checkpoint_multi(
-                     resume_from, b_digest, nrhs)
-                x_full, per_iter, per_conv, per_norm, per_stag = outputs
-                per_hist, per_diag, history = histories
-                iterations = loop["iterations"]
-                checked_at = loop["checked_at"]
-                res_norms = loop["res_norms"]
-                best = loop["best"]
-                cwp = loop["cwp"]
-                prev = loop["prev"]
-                growing = loop["growing"]
-                b_norms = b_norms_all[active]
-                thresholds = self.tol * b_norms
-            else:
-                ctx.nrhs = nrhs
-                before_setup = ledger.snapshot()
-                b_vec_full = ctx.from_global(b_masked)
-                b_norms_all = ctx.norm2(b_vec_full, phase="setup")
-                zero = b_norms_all == 0.0
-                # Zero columns: the exact solution of the SPD system is
-                # x = 0; they exit here, at iteration 0.
-                per_conv[zero] = True
-                active = np.flatnonzero(~zero)
-                if active.size == 0:
-                    after_setup = ledger.snapshot()
-                    return SolveResult(
-                        x=x_full, iterations=0, converged=True,
-                        residual_norm=0.0, b_norm=0.0,
-                        residual_history=[], solver=self.name,
-                        preconditioner=ctx.preconditioner.name,
-                        events={},
-                        setup_events=_diff(after_setup, before_setup),
-                        extra=self._multi_extra(
-                            {}, nrhs, per_iter, per_conv, per_norm,
-                            per_stag, per_diag, b_norms_all),
-                    )
-                if active.size < nrhs:
-                    ctx.nrhs = int(active.size)
-                    b_vec = ctx.compact(b_vec_full, active)
-                else:
-                    b_vec = b_vec_full
-                if x0 is None:
-                    x_vec = ctx.new_vector()
-                else:
-                    x_vec = ctx.from_global(np.ascontiguousarray(
-                        np.where(mask[..., None], x0, 0.0)[..., active]))
-                b_norms = b_norms_all[active]
-                thresholds = self.tol * b_norms
-                try:
-                    state = self._setup(b_vec, x_vec)
-                except BreakdownError as exc:
-                    diagnosis = SolverDiagnosis(
-                        kind=BREAKDOWN, solver=self.name,
-                        message=f"setup: {exc}", iteration=0,
-                        b_norm=float(np.max(b_norms_all)),
-                    )
-                    result = SolveResult(
-                        x=x_full, iterations=0, converged=False,
-                        residual_norm=float("nan"),
-                        b_norm=float(np.max(b_norms_all)),
-                        residual_history=[], solver=self.name,
-                        preconditioner=ctx.preconditioner.name,
-                        events={},
-                        setup_events=_diff(ledger.snapshot(),
-                                           before_setup),
-                        extra={"diagnosis": diagnosis.to_dict()},
-                        diagnosis=diagnosis,
-                    )
-                    return self._raise_or_return(diagnosis, result)
-                after_setup = ledger.snapshot()
-                acct = {"after_setup": after_setup,
-                        "before_setup": before_setup,
-                        "setup_events": None, "loop_base": {},
-                        "b_digest": b_digest}
-                history = []
-                iterations = 0
-                checked_at = -1
-                res_norms = np.full(active.size, np.inf)
-                best = np.full(active.size, np.inf)
-                cwp = np.zeros(active.size, dtype=np.int64)
-                prev = np.full(active.size, np.nan)
-                growing = np.zeros(active.size, dtype=np.int64)
-
-            div_limits = (self.divergence_factor * b_norms
-                          if self.divergence_factor > 0
-                          else np.full(active.size, np.inf))
-
-            def freeze(pos, col, norm):
-                x_full[..., col] = xg[..., pos]
-                per_iter[col] = iterations
-                per_norm[col] = norm
-
-            def loop_meta_multi():
-                return {
-                    "iterations": iterations,
-                    "checked_at": checked_at,
-                    "active": active,
-                    "b_norms": b_norms,
-                    "thresholds": thresholds,
-                    "div_limits": div_limits,
-                    "res_norms": res_norms,
-                    "best": best,
-                    "cwp": cwp,
-                    "prev": prev,
-                    "growing": growing,
-                    "x_full": x_full,
-                    "per_iter": per_iter,
-                    "per_conv": per_conv,
-                    "per_norm": per_norm,
-                    "per_stag": per_stag,
-                    "per_diag": dict(per_diag),
-                    "per_hist_len": [len(h) for h in per_hist],
-                    "nrhs_active": int(active.size),
-                }
-
-            if runtime is not None:
-                self._attach_resilience(runtime, state, loop_meta_multi(),
-                                        history)
-
-            while active.size and iterations < self.max_iterations:
-                iterations += 1
-                try:
-                    try:
-                        self._iterate(state, iterations)
-                    except BreakdownError as exc:
-                        if runtime is not None and runtime.intercept(
-                                "breakdown", iterations):
-                            raise runtime.suspect(
-                                f"breakdown suspected as corruption: "
-                                f"{exc}",
-                                detail={"check": "breakdown"}) from exc
-                        # Batch-level verdict: the recurrence broke for
-                        # the whole batch (SPD violation); every
-                        # still-active column fails with its own
-                        # BREAKDOWN diagnosis.
-                        xg = ctx.to_global(state["x"])
-                        for pos, col in enumerate(active):
-                            col = int(col)
-                            freeze(pos, col, res_norms[pos])
-                            per_diag[col] = SolverDiagnosis(
-                                kind=BREAKDOWN, solver=self.name,
-                                message=str(exc), iteration=iterations,
-                                residual_norm=float(res_norms[pos]),
-                                b_norm=float(b_norms[pos]),
-                                data={"column": col},
-                            )
-                        active = active[:0]
-                        break
-                    if iterations % self.check_freq == 0:
-                        res_norms = np.asarray(self._residual_norm(state))
-                        checked_at = iterations
-                        history.append(
-                            (iterations, float(np.max(res_norms))))
-                        for pos, col in enumerate(active):
-                            per_hist[int(col)].append(
-                                (iterations, float(res_norms[pos])))
-                        # Per-column guardrails -- the exact scalar-loop
-                        # semantics, vectorized over the active columns.
-                        nonfin = ~np.isfinite(res_norms)
-                        if (runtime is not None and nonfin.any()
-                                and runtime.intercept("nonfinite",
-                                                      iterations)):
-                            raise runtime.suspect(
-                                f"{int(nonfin.sum())} column(s) checked "
-                                f"non-finite; suspected corruption",
-                                detail={"check": "nonfinite_residual"})
-                        conv = ~nonfin & (res_norms <= thresholds)
-                        live = ~nonfin & ~conv
-                        grow = (live & (res_norms > div_limits)
-                                & ~np.isnan(prev) & (res_norms > prev))
-                        growing[grow] += 1
-                        growing[live & ~grow] = 0
-                        div = live & (growing >= self.divergence_checks)
-                        upd = live & ~div
-                        prev[upd] = res_norms[upd]
-                        improved = upd & (res_norms < best * (1.0 - 1e-6))
-                        best[improved] = res_norms[improved]
-                        cwp[improved] = 0
-                        cwp[upd & ~improved] += 1
-                        if self.stagnation_checks:
-                            stag = (upd & ~improved
-                                    & (cwp >= self.stagnation_checks))
-                        else:
-                            stag = np.zeros(active.size, dtype=bool)
-                        finished = nonfin | conv | div | stag
-                        if finished.any():
-                            xg = ctx.to_global(state["x"])
-                            for pos in np.flatnonzero(finished):
-                                col = int(active[pos])
-                                freeze(pos, col, res_norms[pos])
-                                per_conv[col] = bool(conv[pos])
-                                per_stag[col] = bool(stag[pos])
-                                if nonfin[pos]:
-                                    per_diag[col] = SolverDiagnosis(
-                                        kind=NONFINITE_RESIDUAL,
-                                        solver=self.name,
-                                        message=(
-                                            f"column {col}: checked "
-                                            f"residual norm is "
-                                            f"{res_norms[pos]}"),
-                                        iteration=iterations,
-                                        residual_norm=float(
-                                            res_norms[pos]),
-                                        b_norm=float(b_norms[pos]),
-                                        data={
-                                            "column": col,
-                                            "last_finite_norm":
-                                                _last_finite(
-                                                    per_hist[col]),
-                                        },
-                                    )
-                                elif div[pos]:
-                                    per_diag[col] = SolverDiagnosis(
-                                        kind=DIVERGED, solver=self.name,
-                                        message=(
-                                            f"column {col}: |r| = "
-                                            f"{res_norms[pos]:.3e} grew "
-                                            f"past "
-                                            f"{self.divergence_factor:g}"
-                                            f" * |b| = "
-                                            f"{div_limits[pos]:.3e} over "
-                                            f"{int(growing[pos]) + 1} "
-                                            f"consecutive checks"),
-                                        iteration=iterations,
-                                        residual_norm=float(
-                                            res_norms[pos]),
-                                        b_norm=float(b_norms[pos]),
-                                        data={
-                                            "column": col,
-                                            "divergence_factor":
-                                                self.divergence_factor,
-                                            "limit": float(
-                                                div_limits[pos]),
-                                            "history_tail":
-                                                per_hist[col][-4:],
-                                        },
-                                    )
-                            keep = np.flatnonzero(~finished)
-                            old_width = int(active.size)
-                            active = active[keep]
-                            b_norms = b_norms[keep]
-                            thresholds = thresholds[keep]
-                            div_limits = div_limits[keep]
-                            res_norms = res_norms[keep]
-                            best = best[keep]
-                            cwp = cwp[keep]
-                            prev = prev[keep]
-                            growing = growing[keep]
-                            if active.size:
-                                ctx.nrhs = int(active.size)
-                                self._compact_state(state, keep,
-                                                    old_width)
-                        if (runtime is not None and active.size
-                                and runtime.capture_due(iterations)):
-                            runtime.verify_and_capture(
-                                state, loop_meta_multi(), len(history),
-                                solver_meta=self._snapshot_solver_meta())
-                except ResilienceEvent as event:
-                    if runtime is None:
-                        raise
-                    restored = runtime.rollback(event, iterations)
-                    if restored is None:
-                        # Rollback budget exhausted: fail every
-                        # still-active column with a resilience kind.
-                        xg = ctx.to_global(state["x"])
-                        for pos, col in enumerate(active):
-                            col = int(col)
-                            freeze(pos, col, res_norms[pos])
-                            per_diag[col] = SolverDiagnosis(
-                                kind=runtime.kind_of(event),
-                                solver=self.name,
-                                message=(
-                                    f"{event} (rollback budget of "
-                                    f"{runtime.policy.max_rollbacks} "
-                                    f"exhausted)"),
-                                iteration=iterations,
-                                residual_norm=float(res_norms[pos]),
-                                b_norm=float(b_norms[pos]),
-                                data={"column": col,
-                                      "rollbacks":
-                                          runtime.counters["rollbacks"],
-                                      **event.detail},
-                            )
-                        active = active[:0]
-                        break
-                    state, meta, solver_meta, hist_len = restored
-                    self._restore_solver_meta(solver_meta or {})
-                    del history[hist_len:]
-                    iterations = meta["iterations"]
-                    checked_at = meta["checked_at"]
-                    active = meta["active"]
-                    b_norms = meta["b_norms"]
-                    thresholds = meta["thresholds"]
-                    div_limits = meta["div_limits"]
-                    res_norms = meta["res_norms"]
-                    best = meta["best"]
-                    cwp = meta["cwp"]
-                    prev = meta["prev"]
-                    growing = meta["growing"]
-                    x_full = meta["x_full"]
-                    per_iter = meta["per_iter"]
-                    per_conv = meta["per_conv"]
-                    per_norm = meta["per_norm"]
-                    per_stag = meta["per_stag"]
-                    per_diag.clear()
-                    per_diag.update(meta["per_diag"])
-                    for hist, length in zip(per_hist,
-                                            meta["per_hist_len"]):
-                        del hist[length:]
-                    ctx.nrhs = int(meta["nrhs_active"])
-                    continue
-                if (checkpoint is not None and active.size
-                        and checkpoint.due(iterations)):
-                    self._write_checkpoint_multi(
-                        checkpoint, state, acct, b_norms_all, active,
-                        iterations, checked_at, history, res_norms,
-                        best, cwp, prev, growing, x_full, per_iter,
-                        per_conv, per_norm, per_stag, per_hist, per_diag)
-
-            if active.size:
-                # Budget exhausted with columns still running: one final
-                # explicit check, then freeze the holdouts.
-                if checked_at != iterations:
-                    res_norms = np.asarray(self._residual_norm(state))
-                    history.append((iterations, float(np.max(res_norms))))
-                    for pos, col in enumerate(active):
-                        per_hist[int(col)].append(
-                            (iterations, float(res_norms[pos])))
-                conv = np.isfinite(res_norms) & (res_norms <= thresholds)
-                xg = ctx.to_global(state["x"])
-                for pos, col in enumerate(active):
-                    col = int(col)
-                    freeze(pos, col, res_norms[pos])
-                    per_conv[col] = bool(conv[pos])
-                    if conv[pos]:
-                        continue
-                    if not np.isfinite(res_norms[pos]):
-                        per_diag[col] = SolverDiagnosis(
-                            kind=NONFINITE_RESIDUAL, solver=self.name,
-                            message=(f"column {col}: final residual "
-                                     f"norm is {res_norms[pos]}"),
-                            iteration=iterations,
-                            residual_norm=float(res_norms[pos]),
-                            b_norm=float(b_norms[pos]),
-                            data={"column": col},
-                        )
-                    else:
-                        per_diag[col] = SolverDiagnosis(
-                            kind=BUDGET_EXHAUSTED, solver=self.name,
-                            message=(
-                                f"column {col}: failed to reach |r| <= "
-                                f"{thresholds[pos]:.3e} after "
-                                f"{iterations} iterations (|r| = "
-                                f"{res_norms[pos]:.3e})"),
-                            iteration=iterations,
-                            residual_norm=float(res_norms[pos]),
-                            b_norm=float(b_norms[pos]),
-                            data={"column": col,
-                                  "threshold": float(thresholds[pos]),
-                                  "max_iterations": self.max_iterations},
-                        )
-
-            extra = self._multi_extra(
-                dict(state.get("extra", {})), nrhs, per_iter, per_conv,
-                per_norm, per_stag, per_diag, b_norms_all)
-            if runtime is not None:
-                extra["resilience"] = runtime.summary()
-            batch_diag = per_diag[min(per_diag)] if per_diag else None
-            result = SolveResult(
-                x=x_full, iterations=int(iterations),
-                converged=bool(per_conv.all()),
-                residual_norm=float(np.max(per_norm)),
-                b_norm=float(np.max(b_norms_all)),
-                residual_history=history,
-                solver=self.name,
-                preconditioner=ctx.preconditioner.name,
-                events=self._loop_events(acct),
-                setup_events=self._setup_events(acct),
-                extra=extra,
-                diagnosis=batch_diag,
-            )
-            if batch_diag is not None:
-                return self._raise_or_return(batch_diag, result)
-            return result
-        finally:
-            ctx.nrhs = saved_nrhs
-
-    def _multi_extra(self, extra, nrhs, per_iter, per_conv, per_norm,
-                     per_stag, per_diag, b_norms_all):
-        """The per-column accounting block of a multi-RHS result."""
-        extra["multi_rhs"] = int(nrhs)
-        extra["per_rhs_iterations"] = [int(v) for v in per_iter]
-        extra["per_rhs_converged"] = [bool(v) for v in per_conv]
-        extra["per_rhs_residual_norm"] = [float(v) for v in per_norm]
-        extra["per_rhs_b_norm"] = [float(v) for v in b_norms_all]
-        zero_cols = [int(c) for c in np.flatnonzero(b_norms_all == 0.0)]
-        if zero_cols:
-            extra["zero_rhs_columns"] = zero_cols
-            if len(zero_cols) == nrhs:
-                extra["zero_rhs"] = True
-        if per_stag.any():
-            extra["stagnated"] = True
-            extra["stagnated_columns"] = [
-                int(c) for c in np.flatnonzero(per_stag)]
-        if per_diag:
-            extra["per_rhs_diagnosis"] = {
-                str(col): diag.to_dict()
-                for col, diag in sorted(per_diag.items())}
-            extra["diagnosis"] = per_diag[min(per_diag)].to_dict()
-        return extra
-
-    def _compact_state(self, state, keep, old_width):
-        """Drop finished columns from every entry of the loop state.
-
-        Context vectors compact through :meth:`SolverContext.compact`
-        (pure data movement); ``(old_width,)`` recurrence arrays (the
-        batched rho/sigma/...) compact by indexing; true scalars pass
-        through untouched.
-        """
-        ctx = self.context
-        for name, value in list(state.items()):
-            if name == "extra":
-                continue
-            if (isinstance(value, np.ndarray) and value.ndim == 1
-                    and value.shape[0] == old_width):
-                state[name] = value[keep]
-            elif self._is_context_vector(value):
-                state[name] = ctx.compact(value, keep)
-
-    @staticmethod
-    def _is_context_vector(value):
-        """A multi-RHS context vector: BlockField or (ny, nx, k) array."""
-        if hasattr(value, "locals_"):
-            return True
-        return isinstance(value, np.ndarray) and value.ndim == 3
-
-    def _write_checkpoint_multi(self, policy, state, acct, b_norms_all,
-                                active, iterations, checked_at, history,
-                                res_norms, best, cwp, prev, growing,
-                                x_full, per_iter, per_conv, per_norm,
-                                per_stag, per_hist, per_diag):
-        """Snapshot the complete multi-RHS loop state."""
-        ctx = self.context
-        n_act = int(active.size)
-        arrays = {
-            "x_full": x_full, "b_norms_all": b_norms_all,
-            "active": np.asarray(active, dtype=np.int64),
-            "per_iter": per_iter, "per_conv": per_conv,
-            "per_norm": per_norm, "per_stag": per_stag,
-            "res_norms": res_norms, "best": best, "cwp": cwp,
-            "prev": prev, "growing": growing,
-        }
-        scalars = {}
-        for name, value in state.items():
-            if name == "extra":
-                continue
-            if value is None or isinstance(value, (bool, int, float)):
-                scalars[name] = value
-            elif isinstance(value, np.generic):
-                scalars[name] = value.item()
-            elif (isinstance(value, np.ndarray) and value.ndim == 1
-                    and value.shape[0] == n_act):
-                arrays[f"col_{name}"] = value
-            else:
-                arrays[f"vec_{name}"] = ctx.to_global(value)
-        meta = {
-            "solver": self.name,
-            "preconditioner": ctx.preconditioner.name,
-            "shape": [int(s) for s in ctx.mask.shape],
-            "nrhs": int(b_norms_all.shape[0]),
-            "b_digest": acct["b_digest"],
-            "tol": self.tol,
-            "check_freq": self.check_freq,
-            "scalars": sanitize_meta(scalars),
-            "extra": sanitize_meta(state.get("extra", {})),
-            "solver_state": sanitize_meta(self._snapshot_solver_meta()),
-            "precond_state": sanitize_meta(
-                ctx.preconditioner.snapshot_meta()),
-            "history": [[int(i), float(r)] for i, r in history],
-            "per_history": [[[int(i), float(r)] for i, r in h]
-                            for h in per_hist],
-            "per_diagnosis": {str(c): d.to_dict()
-                              for c, d in per_diag.items()},
-            "loop": {"iterations": int(iterations),
-                     "checked_at": int(checked_at)},
-            "setup_events": _events_to_meta(self._setup_events(acct)),
-            "loop_events": _events_to_meta(self._loop_events(acct)),
-        }
-        return policy.write(int(iterations), "solver_multi", arrays, meta)
-
-    def _restore_checkpoint_multi(self, path, b_digest, nrhs):
-        """Load and verify a multi-RHS snapshot."""
-        arrays, meta = read_checkpoint(path, kind="solver_multi")
-        ctx = self.context
-        if meta.get("solver") != self.name:
-            raise CheckpointError(
-                f"checkpoint {path} belongs to solver "
-                f"{meta.get('solver')!r}, not {self.name!r}")
-        if tuple(meta.get("shape", ())) != tuple(ctx.mask.shape):
-            raise CheckpointError(
-                f"checkpoint {path} grid shape {meta.get('shape')} does "
-                f"not match context {list(ctx.mask.shape)}")
-        if int(meta.get("nrhs", -1)) != int(nrhs):
+        if int(meta.get("nrhs", -1)) != nrhs:
             raise CheckpointError(
                 f"checkpoint {path} holds {meta.get('nrhs')} RHS "
                 f"columns, this solve has {nrhs}")
         if meta.get("b_digest") != b_digest:
             raise CheckpointError(
                 f"checkpoint {path} was written for a different "
-                f"right-hand side batch -- resuming would not reproduce "
-                f"the original solve")
-        for knob in ("tol", "check_freq"):
-            if meta.get(knob) != getattr(self, knob):
+                f"right-hand side -- resuming would not reproduce the "
+                f"original solve")
+        knobs = meta.get("knobs", {})
+        for knob in self.checkpoint_knobs:
+            if knobs.get(knob) != getattr(self, knob):
                 raise CheckpointError(
                     f"checkpoint {path} was written with "
-                    f"{knob}={meta.get(knob)!r}, this solver uses "
+                    f"{knob}={knobs.get(knob)!r}, this solver uses "
                     f"{getattr(self, knob)!r}; a resumed run would not "
                     f"be bit-identical")
-        active = np.asarray(arrays["active"], dtype=np.intp)
-        ctx.nrhs = int(active.size) if active.size else None
+        loop = {key: np.array(arrays[f"loop_{key}"])
+                for key in _OUTPUT_KEYS}
+        loop.update({key: arrays[f"loop_{key}"].tolist()
+                     for key in _RUNNING_KEYS})
+        active = loop["active"] = [int(c) for c in loop["active"]]
+        loop["iterations"] = int(meta["loop"]["iterations"])
+        loop["checked_at"] = int(meta["loop"]["checked_at"])
+        loop["x_full"] = np.zeros(ctx.mask.shape + (nrhs,))
+        loop["x_full"][..., np.setdiff1d(np.arange(nrhs), active)] = \
+            arrays["x_done"]
+        loop["per_hist"] = [[(int(i), float(r)) for i, r in h]
+                            for h in meta["per_history"]]
+        loop["per_diag"] = {int(c): _diagnosis_from_dict(d)
+                            for c, d in meta["per_diagnosis"].items()}
+        # Verdicts on still-running columns are the budget verdicts of
+        # the run that wrote a failure snapshot; the resumed run
+        # decides them afresh.
+        for col in active:
+            loop["per_diag"].pop(col, None)
+        loop["per_conv"][active] = False
+
+        ctx.nrhs = len(active) or None
         state = {}
         for name, value in arrays.items():
             if name.startswith("vec_"):
                 state[name[4:]] = ctx.from_global(value)
             elif name.startswith("col_"):
                 state[name[4:]] = np.array(value, dtype=np.float64)
-        state.update(meta.get("scalars", {}))
-        state["extra"] = dict(meta.get("extra", {}))
-        self._restore_solver_meta(meta.get("solver_state", {}))
-        ctx.preconditioner.restore_meta(meta.get("precond_state") or {})
-        loop = {
-            "iterations": int(meta["loop"]["iterations"]),
-            "checked_at": int(meta["loop"]["checked_at"]),
-            "res_norms": np.array(arrays["res_norms"]),
-            "best": np.array(arrays["best"]),
-            "cwp": np.array(arrays["cwp"], dtype=np.int64),
-            "prev": np.array(arrays["prev"]),
-            "growing": np.array(arrays["growing"], dtype=np.int64),
-        }
+        for name, length in meta["seqs"].items():
+            state[name] = [ctx.from_global(arrays[f"seq_{name}_{i}"])
+                           for i in range(length)]
+        state.update(meta["scalars"])
+        state["extra"] = dict(meta["extra"])
+        self._restore_solver_meta(meta["solver_state"])
+        ctx.preconditioner.restore_meta(meta["precond_state"] or {})
+        history = [(int(i), float(r)) for i, r in meta["history"]]
         acct = {
             "after_setup": ctx.ledger.snapshot(),
             "before_setup": None,
@@ -1313,39 +824,32 @@ class IterativeSolver(abc.ABC):
             "loop_base": _events_from_meta(meta["loop_events"]),
             "b_digest": b_digest,
         }
-        outputs = (
-            np.array(arrays["x_full"]),
-            np.array(arrays["per_iter"], dtype=np.int64),
-            np.array(arrays["per_conv"], dtype=bool),
-            np.array(arrays["per_norm"]),
-            np.array(arrays["per_stag"], dtype=bool),
-        )
-        per_hist = [[(int(i), float(r)) for i, r in h]
-                    for h in meta.get("per_history", [])]
-        while len(per_hist) < nrhs:
-            per_hist.append([])
-        per_diag = {int(c): _diagnosis_from_dict(d)
-                    for c, d in meta.get("per_diagnosis", {}).items()}
-        history = [(int(i), float(r)) for i, r in meta.get("history", [])]
-        histories = (per_hist, per_diag, history)
-        return (state, acct, np.array(arrays["b_norms_all"]), active,
-                loop, outputs, histories)
+        return state, loop, history, acct
 
     # ------------------------------------------------------------------
     # hooks
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def _setup(self, b, x):
-        """Initialize solver state; returns a dict with at least
-        ``x`` (current iterate) and ``r`` (current residual)."""
+        """Initialize solver state for the running columns of ``b`` and
+        ``x`` (context vectors of width ``context.nrhs``); returns a dict
+        with at least ``x`` (current iterate) and ``r`` (current
+        residual).  Recurrence coefficients are ``(nrhs,)`` arrays."""
 
     @abc.abstractmethod
     def _iterate(self, state, k):
-        """Perform iteration ``k`` in place on ``state``.
+        """Perform iteration ``k`` in place on ``state``, every running
+        column at once.
 
-        May raise :class:`~repro.core.errors.BreakdownError`; the
-        guarded loop converts it into a diagnosed failure carrying the
-        partial result."""
+        Each column must run exactly the arithmetic of a solve of that
+        column alone (coefficients are elementwise over the columns).
+        An exactly solved column (zero residual) freezes itself through
+        zero coefficients, and a non-finite reduction poisons only its
+        own column, which the next convergence check diagnoses.  An SPD
+        violation on a live column raises
+        :class:`~repro.core.errors.BreakdownError`; the guarded loop
+        converts it into a diagnosed failure carrying the partial
+        result."""
 
     def _residual_norm(self, state):
         """Masked residual 2-norm (one global reduction -- the
@@ -1425,3 +929,78 @@ def _diagnosis_from_dict(payload):
         b_norm=_float(payload.get("b_norm"), float("nan")),
         data=dict(payload.get("data", {})),
     )
+
+
+def ieee_div(num, den):
+    """``num / den`` with IEEE semantics where Python would raise: a
+    zero denominator gives +-inf, or NaN for ``0/0`` and NaN numerators.
+
+    The per-column recurrences divide Python floats; a poisoned column
+    (non-finite reductions) can meet a zero denominator, and must turn
+    non-finite instead of stopping the batch.
+    """
+    if den == 0.0:
+        if num == 0.0 or num != num:
+            return math.nan
+        return math.copysign(math.inf, num) * math.copysign(1.0, den)
+    return num / den
+
+
+def column_coeffs(values):
+    """Per-column coefficients for the context's elementwise updates.
+
+    A one-column batch gets a plain float -- numpy's scalar fast path,
+    the same IEEE products as broadcasting a ``(1,)`` array -- and a
+    wider batch a ``(k,)`` array that broadcasts over the column axis.
+    """
+    return values[0] if len(values) == 1 else np.array(values)
+
+
+def _new_loop(b_norms_all, shape, batch):
+    """Fresh loop bookkeeping for ``b_norms_all.size`` columns (no
+    column running yet)."""
+    nrhs = int(b_norms_all.size)
+    return {
+        "batch": batch, "iterations": 0, "checked_at": -1,
+        "active": [], "b_norms_all": b_norms_all,
+        "x_full": np.zeros(shape + (nrhs,)),
+        "per_iter": np.zeros(nrhs, dtype=np.int64),
+        "per_conv": np.zeros(nrhs, dtype=bool),
+        "per_norm": np.zeros(nrhs),
+        "per_stag": np.zeros(nrhs, dtype=bool),
+        "per_diag": {},
+        "per_hist": [[] for _ in range(nrhs)],
+    }
+
+
+def _record(loop, history, res_norms):
+    """Append one check to the batch history (worst running column) and
+    to every running column's own history; returns the norms as a
+    list."""
+    iterations = loop["iterations"]
+    res_norms = np.asarray(res_norms)
+    history.append((iterations, float(res_norms.max())))
+    values = res_norms.tolist()
+    for col, norm in zip(loop["active"], values):
+        loop["per_hist"][col].append((iterations, norm))
+    return values
+
+
+def _freeze(loop, xg, pos, converged, stagnated, diagnosis):
+    """Write running column ``pos`` into the outputs at the current
+    iteration (``xg`` is the global iterate of the running columns)."""
+    col = loop["active"][pos]
+    loop["x_full"][..., col] = xg[..., pos]
+    loop["per_iter"][col] = loop["iterations"]
+    loop["per_norm"][col] = loop["res_norms"][pos]
+    loop["per_conv"][col] = bool(converged)
+    loop["per_stag"][col] = bool(stagnated)
+    if diagnosis is not None:
+        loop["per_diag"][col] = diagnosis
+
+
+def _retire(loop, keep):
+    """Keep only running columns ``keep`` (positions) in the running
+    bookkeeping."""
+    for key in _RUNNING_KEYS:
+        loop[key] = [loop[key][pos] for pos in keep]

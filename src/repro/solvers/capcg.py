@@ -55,24 +55,16 @@ divergence diagnoses, and all recoverable: the shared
 the interval, re-estimates, retries, and optionally falls back to
 ChronGear.
 
-**Checkpointing.**  Mid-block state is the basis itself, so snapshots
-use a dedicated ``"capcg"`` checkpoint kind carrying every basis column
-(engine-portable global layout), the Gram system, the coordinate
-vectors and the inner-step index; a resumed run is bit-identical.
-Multi-RHS CA-PCG solves run, converge and compact per column like every
-other solver, but do not support checkpointing (the per-column basis
-freeze is not snapshot-stable); a clear error is raised instead.
+**Checkpointing.**  Mid-block state is the basis itself: the basis
+lists ``V``/``W`` and the dense coordinate system (:attr:`dense_state`)
+travel through the shared ``"solver"`` snapshot with the rest of the
+loop state, so single solves and batches resume bit-identically.  The
+step count ``s`` must match (``checkpoint_knobs``).
 """
 
 import numpy as np
 
-from repro.core.checkpoint import (
-    CheckpointError,
-    read_checkpoint,
-    sanitize_meta,
-)
 from repro.core.errors import BreakdownError, SolverError
-from repro.solvers.base import _events_from_meta, _events_to_meta
 from repro.solvers.spectral import SpectralBoundedSolver
 
 
@@ -106,11 +98,10 @@ class CAPCGSolver(SpectralBoundedSolver):
 
     name = "capcg"
 
-    #: Dedicated checkpoint kind: snapshots carry the basis state.
-    CHECKPOINT_KIND = "capcg"
+    #: The dense coordinate-space state, one trailing column per RHS.
+    dense_state = ("N", "g", "pc", "zc", "ac")
 
-    #: Keys of the dense (coordinate-space) state arrays.
-    _DENSE_KEYS = ("N", "g", "pc", "zc", "ac")
+    checkpoint_knobs = ("tol", "check_freq", "sstep")
 
     def __init__(self, context, sstep=4, replace_freq=1, **kwargs):
         super().__init__(context, **kwargs)
@@ -171,7 +162,7 @@ class CAPCGSolver(SpectralBoundedSolver):
         delta = 0.5 * (mu - nu)
         state["theta"] = theta
         state["delta"] = delta
-        w = ctx.nrhs  # width of one basis column (None = scalar)
+        w = ctx.nrhs  # columns per basis vector
 
         cur = ctx.stack_columns([p, z])  # [P_0 | Z_0]
         pairs = [cur]
@@ -223,20 +214,12 @@ class CAPCGSolver(SpectralBoundedSolver):
 
         # Coordinates: p' = e_0 (P-seed), z' = e_{s+1} (Z-seed), a = 0;
         # rho = r^T z = g[s+1] -- free, no extra reduction.
-        if w is None:
-            pc = np.zeros(m)
-            zc = np.zeros(m)
-            ac = np.zeros(m)
-            pc[0] = 1.0
-            zc[s + 1] = 1.0
-            rho = float(state["g"][s + 1])
-        else:
-            pc = np.zeros((m, w))
-            zc = np.zeros((m, w))
-            ac = np.zeros((m, w))
-            pc[0, :] = 1.0
-            zc[s + 1, :] = 1.0
-            rho = state["g"][s + 1].copy()
+        pc = np.zeros((m, w))
+        zc = np.zeros((m, w))
+        ac = np.zeros((m, w))
+        pc[0, :] = 1.0
+        zc[s + 1, :] = 1.0
+        rho = state["g"][s + 1].copy()
         state["pc"] = pc
         state["zc"] = zc
         state["ac"] = ac
@@ -314,12 +297,38 @@ class CAPCGSolver(SpectralBoundedSolver):
         self._start_epoch(state, p=p, z=z)
 
     def _iterate(self, state, k):
+        """One CG step in basis coordinates -- no communication.
+
+        Each running column advances through :meth:`_advance_coords` on
+        contiguous per-column copies, so its coefficient stream is
+        exactly that of a solve of that column alone.  An exactly solved
+        column (``rho = 0``; ``M`` is SPD, so ``r^T M^-1 r = 0`` iff
+        ``r = 0``) freezes until the convergence check confirms it; a
+        breakdown in any column is a batch-level verdict.
+        """
         if state["jj"] >= self.sstep:
             self._rebuild(state)
-        if isinstance(state["rho"], np.ndarray):
-            self._dense_step_multi(state)
-        else:
-            self._dense_step(state)
+        N, g = state["N"], state["g"]
+        Bm = self._B(state)
+        pc, zc, ac = state["pc"], state["zc"], state["ac"]
+        rho = state["rho"]
+        m, w = pc.shape
+        # ~5 m^2 dense flops per column, replicated on every rank (not
+        # critical-path scaling, but recorded for honesty).
+        self.context.ledger.record_flops("computation", 5 * m * m * w)
+        for j in range(w):
+            if rho[j] == 0.0:
+                continue
+            Nj = np.ascontiguousarray(N[:, :, j])
+            gj = np.ascontiguousarray(g[:, j])
+            pcj = np.ascontiguousarray(pc[:, j])
+            zcj = np.ascontiguousarray(zc[:, j])
+            acj = np.ascontiguousarray(ac[:, j])
+            pcj, rho[j] = self._advance_coords(Nj, gj, Bm, pcj, zcj,
+                                               acj, float(rho[j]))
+            pc[:, j] = pcj
+            zc[:, j] = zcj
+            ac[:, j] = acj
         state["jj"] += 1
         state["synced"] = -1
 
@@ -328,9 +337,6 @@ class CAPCGSolver(SpectralBoundedSolver):
         """One CG step on contiguous coordinate vectors.
 
         Updates ``zc``/``ac`` in place, returns ``(pc_new, rho_new)``.
-        Shared verbatim by the scalar and per-column multi-RHS paths so
-        each batched column's coefficient stream is bit-identical to a
-        standalone solve.
         """
         pq = float(pc @ (N @ pc))
         if not np.isfinite(pq):
@@ -355,171 +361,3 @@ class CAPCGSolver(SpectralBoundedSolver):
                 f"poisoned")
         beta = rho_new / rho
         return zc + beta * pc, rho_new
-
-    def _dense_step(self, state):
-        """One CG step in basis coordinates -- no communication."""
-        m = state["pc"].shape[0]
-        # ~5 m^2 dense flops, replicated on every rank (not critical-
-        # path scaling, but recorded for honesty).
-        self.context.ledger.record_flops("computation", 5 * m * m)
-        if state["rho"] == 0.0:
-            # Exact zero residual (M is SPD, so r^T M^-1 r = 0 iff
-            # r = 0): freeze until the convergence check confirms it.
-            return
-        state["pc"], state["rho"] = self._advance_coords(
-            state["N"], state["g"], self._B(state),
-            state["pc"], state["zc"], state["ac"], state["rho"])
-
-    def _dense_step_multi(self, state):
-        """Batched dense recurrences, one column per RHS.
-
-        Each live column runs :meth:`_advance_coords` on contiguous
-        per-column copies -- the exact scalar arithmetic, so every
-        column's iterate stays bit-identical to a standalone solve.  An
-        exactly solved column (``rho = 0``) freezes itself; a breakdown
-        in any column is a batch-level verdict, exactly as a standalone
-        solve of that column would fail.
-        """
-        N, g = state["N"], state["g"]
-        Bm = self._B(state)
-        pc, zc, ac = state["pc"], state["zc"], state["ac"]
-        rho = np.asarray(state["rho"], dtype=np.float64)
-        m, w = pc.shape
-        self.context.ledger.record_flops("computation", 5 * m * m * w)
-
-        for j in range(w):
-            if rho[j] == 0.0:
-                continue
-            Nj = np.ascontiguousarray(N[:, :, j])
-            gj = np.ascontiguousarray(g[:, j])
-            pcj = np.ascontiguousarray(pc[:, j])
-            zcj = np.ascontiguousarray(zc[:, j])
-            acj = np.ascontiguousarray(ac[:, j])
-            pcj, rho[j] = self._advance_coords(Nj, gj, Bm, pcj, zcj,
-                                               acj, float(rho[j]))
-            pc[:, j] = pcj
-            zc[:, j] = zcj
-            ac[:, j] = acj
-        state["rho"] = rho
-
-    # ------------------------------------------------------------------
-    # multi-RHS compaction
-    # ------------------------------------------------------------------
-    def _compact_state(self, state, keep, old_width):
-        dense = {key: state.pop(key) for key in self._DENSE_KEYS}
-        V = state.pop("V")
-        W = state.pop("W")
-        super()._compact_state(state, keep, old_width)
-        ctx = self.context
-        state["V"] = [ctx.compact(v, keep) for v in V]
-        state["W"] = [ctx.compact(v, keep) for v in W]
-        for key, value in dense.items():
-            state[key] = np.ascontiguousarray(value[..., keep])
-
-    # ------------------------------------------------------------------
-    # checkpoint/restart: a dedicated kind carrying the basis state
-    # ------------------------------------------------------------------
-    def _write_checkpoint(self, policy, state, history, loop, acct,
-                          b_norm, failure=None):
-        ctx = self.context
-        arrays = {}
-        for name in ("x", "r", "x0", "r0", "b"):
-            arrays[f"vec_{name}"] = ctx.to_global(state[name])
-        for i, v in enumerate(state["V"]):
-            arrays[f"basis_V_{i}"] = ctx.to_global(v)
-        for i, v in enumerate(state["W"]):
-            arrays[f"basis_W_{i}"] = ctx.to_global(v)
-        for name in self._DENSE_KEYS:
-            arrays[f"dense_{name}"] = np.asarray(state[name],
-                                                 dtype=np.float64)
-        scalars = {
-            "rho": float(state["rho"]),
-            "jj": int(state["jj"]),
-            "outer": int(state["outer"]),
-            "synced": int(state["synced"]),
-            "theta": float(state["theta"]),
-            "delta": float(state["delta"]),
-        }
-        meta = {
-            "solver": self.name,
-            "preconditioner": ctx.preconditioner.name,
-            "shape": [int(s) for s in ctx.mask.shape],
-            "b_digest": acct["b_digest"],
-            "b_norm": float(b_norm),
-            "tol": self.tol,
-            "check_freq": self.check_freq,
-            "sstep": self.sstep,
-            "basis_size": len(state["V"]),
-            "scalars": sanitize_meta(scalars),
-            "extra": sanitize_meta(state.get("extra", {})),
-            "solver_state": sanitize_meta(self._snapshot_solver_meta()),
-            "history": [[int(i), float(r)] for i, r in history],
-            "loop": sanitize_meta(loop),
-            "setup_events": _events_to_meta(self._setup_events(acct)),
-            "loop_events": _events_to_meta(self._loop_events(acct)),
-            "failure": failure.to_dict() if failure is not None else None,
-        }
-        return policy.write(loop["iterations"], self.CHECKPOINT_KIND,
-                            arrays, meta, failure=failure is not None)
-
-    def _restore_checkpoint(self, path, b_digest):
-        arrays, meta = read_checkpoint(path, kind=self.CHECKPOINT_KIND)
-        ctx = self.context
-        if meta.get("solver") != self.name:
-            raise CheckpointError(
-                f"checkpoint {path} belongs to solver "
-                f"{meta.get('solver')!r}, not {self.name!r}")
-        if tuple(meta.get("shape", ())) != tuple(ctx.mask.shape):
-            raise CheckpointError(
-                f"checkpoint {path} grid shape {meta.get('shape')} does "
-                f"not match context {list(ctx.mask.shape)}")
-        if meta.get("b_digest") != b_digest:
-            raise CheckpointError(
-                f"checkpoint {path} was written for a different "
-                f"right-hand side -- resuming would not reproduce the "
-                f"original solve")
-        for knob in ("tol", "check_freq", "sstep"):
-            if meta.get(knob) != getattr(self, knob):
-                raise CheckpointError(
-                    f"checkpoint {path} was written with "
-                    f"{knob}={meta.get(knob)!r}, this solver uses "
-                    f"{getattr(self, knob)!r}; a resumed run would not "
-                    f"be bit-identical")
-        m = int(meta["basis_size"])
-        state = {}
-        for name in ("x", "r", "x0", "r0", "b"):
-            state[name] = ctx.from_global(arrays[f"vec_{name}"])
-        state["V"] = [ctx.from_global(arrays[f"basis_V_{i}"])
-                      for i in range(m)]
-        state["W"] = [ctx.from_global(arrays[f"basis_W_{i}"])
-                      for i in range(m)]
-        for name in self._DENSE_KEYS:
-            state[name] = np.array(arrays[f"dense_{name}"],
-                                   dtype=np.float64)
-        state.update(meta.get("scalars", {}))
-        state["jj"] = int(state["jj"])
-        state["outer"] = int(state["outer"])
-        state["synced"] = int(state["synced"])
-        state["extra"] = dict(meta.get("extra", {}))
-        self._restore_solver_meta(meta.get("solver_state", {}))
-        history = [(int(i), float(r)) for i, r in meta.get("history", [])]
-        loop = dict(meta["loop"])
-        acct = {
-            "after_setup": ctx.ledger.snapshot(),
-            "before_setup": None,
-            "setup_events": _events_from_meta(meta["setup_events"]),
-            "loop_base": _events_from_meta(meta["loop_events"]),
-            "b_digest": b_digest,
-        }
-        return state, history, loop, acct, float(meta["b_norm"])
-
-    def _write_checkpoint_multi(self, *args, **kwargs):
-        raise CheckpointError(
-            "multi-RHS CA-PCG solves do not support checkpointing (the "
-            "per-column basis freeze is not snapshot-stable); "
-            "checkpoint single-RHS solves or use another solver")
-
-    def _restore_checkpoint_multi(self, *args, **kwargs):
-        raise CheckpointError(
-            "multi-RHS CA-PCG solves do not support checkpoint resume; "
-            "resume the single-RHS solves individually")

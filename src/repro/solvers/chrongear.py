@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from repro.core.errors import BreakdownError
-from repro.solvers.base import IterativeSolver
+from repro.solvers.base import IterativeSolver, column_coeffs, ieee_div
 
 
 class ChronGearSolver(IterativeSolver):
@@ -39,7 +39,7 @@ class ChronGearSolver(IterativeSolver):
         p = ctx.new_vector()
         return {
             "x": x, "r": r, "s": s, "p": p,
-            "rho": 1.0, "sigma": 0.0,
+            "rho": np.ones(ctx.nrhs), "sigma": np.zeros(ctx.nrhs),
             "b": b,
         }
 
@@ -51,78 +51,43 @@ class ChronGearSolver(IterativeSolver):
         z = ctx.matvec(r_prime)
         # steps 7-9: fused global reduction for rho and delta
         rho, delta = ctx.dot_pair(state["r"], r_prime, z, r_prime)
-        if isinstance(rho, np.ndarray):
-            return self._iterate_multi(state, rho, delta, r_prime, z)
-        if not (math.isfinite(rho) and math.isfinite(delta)):
-            raise BreakdownError(
-                f"ChronGear breakdown: non-finite reduction "
-                f"(rho={rho}, delta={delta}) -- iterate is poisoned"
-            )
-        if rho == 0.0 and delta == 0.0:
-            # Exact zero residual (zero RHS or an exact initial guess):
-            # the system is already solved; leave the state untouched so
-            # the next convergence check reports success.
+        # steps 10-12: the scalar recurrences, column by column
+        beta, alpha, rho_new, sigma_new = [], [], [], []
+        live = False
+        for rho_j, delta_j, rho_old, sigma_old in zip(
+                rho.tolist(), delta.tolist(), state["rho"].tolist(),
+                state["sigma"].tolist()):
+            if rho_j == 0.0 and delta_j == 0.0:
+                # Exact zero residual (zero RHS or an exact initial
+                # guess): zero coefficients freeze the column, so the
+                # next convergence check reports it converged.
+                beta_j = alpha_j = 0.0
+                rho_j, sigma_j = rho_old, sigma_old
+            else:
+                live = True
+                if rho_old == 0.0 and math.isfinite(rho_j):
+                    raise BreakdownError(
+                        "ChronGear breakdown: rho vanished (operator or "
+                        "preconditioner is not SPD on the ocean subspace)"
+                    )
+                beta_j = ieee_div(rho_j, rho_old)
+                sigma_j = delta_j - beta_j * beta_j * sigma_old
+                if sigma_j == 0.0:
+                    raise BreakdownError(
+                        "ChronGear breakdown: sigma vanished")
+                alpha_j = rho_j / sigma_j
+            beta.append(beta_j)
+            alpha.append(alpha_j)
+            rho_new.append(rho_j)
+            sigma_new.append(sigma_j)
+        if not live:
             return
-        # steps 10-12: scalar recurrences
-        rho_old = state["rho"]
-        if rho_old == 0.0:
-            raise BreakdownError(
-                "ChronGear breakdown: rho vanished (operator or "
-                "preconditioner is not SPD on the ocean subspace)"
-            )
-        beta = rho / rho_old
-        sigma = delta - beta * beta * state["sigma"]
-        if sigma == 0.0:
-            raise BreakdownError("ChronGear breakdown: sigma vanished")
-        alpha = rho / sigma
+        beta = column_coeffs(beta)
+        alpha = column_coeffs(alpha)
         # steps 13-16: the four vector recurrences
         ctx.xpay(r_prime, beta, state["s"])   # s = r' + beta s
         ctx.xpay(z, beta, state["p"])         # p = z + beta p
         ctx.axpy(alpha, state["s"], state["x"])    # x += alpha s
         ctx.axpy(-alpha, state["p"], state["r"])   # r -= alpha p
-        state["rho"] = rho
-        state["sigma"] = sigma
-
-    def _iterate_multi(self, state, rho, delta, r_prime, z):
-        """Batched scalar recurrences: one ``(nrhs,)`` entry per column.
-
-        Each active column runs the exact scalar arithmetic (``beta =
-        rho / rho_old`` etc. are elementwise), so its iterates stay
-        bit-identical to a standalone solve.  Column-local anomalies are
-        handled per column:
-
-        * an exact zero residual (``rho = delta = 0``) freezes that
-          column's ``x``/``r``/``rho``/``sigma`` via zero coefficients,
-          so the next convergence check reports it converged;
-        * a non-finite reduction poisons only its own column (all vector
-          updates are column-independent), which the next check diagnoses
-          as a per-column non-finite residual.
-
-        Only batch-wide SPD violations (``rho_old`` or ``sigma``
-        vanishing on a live column) raise :class:`BreakdownError`, the
-        same verdict the scalar path gives.
-        """
-        ctx = self.context
-        noop = (rho == 0.0) & (delta == 0.0)
-        if bool(noop.all()):
-            # Every active column is exactly solved; leave the state
-            # untouched so the next convergence check reports success.
-            return
-        rho_old = np.asarray(state["rho"], dtype=np.float64)
-        sigma_old = np.asarray(state["sigma"], dtype=np.float64)
-        if bool(np.any((rho_old == 0.0) & ~noop & np.isfinite(rho))):
-            raise BreakdownError(
-                "ChronGear breakdown: rho vanished (operator or "
-                "preconditioner is not SPD on the ocean subspace)"
-            )
-        beta = np.where(noop, 0.0, rho / np.where(noop, 1.0, rho_old))
-        sigma = delta - beta * beta * sigma_old
-        if bool(np.any((sigma == 0.0) & ~noop & np.isfinite(sigma))):
-            raise BreakdownError("ChronGear breakdown: sigma vanished")
-        alpha = np.where(noop, 0.0, rho / np.where(noop, 1.0, sigma))
-        ctx.xpay(r_prime, beta, state["s"])   # s = r' + beta s
-        ctx.xpay(z, beta, state["p"])         # p = z + beta p
-        ctx.axpy(alpha, state["s"], state["x"])    # x += alpha s
-        ctx.axpy(-alpha, state["p"], state["r"])   # r -= alpha p
-        state["rho"] = np.where(noop, rho_old, rho)
-        state["sigma"] = np.where(noop, sigma_old, sigma)
+        state["rho"] = np.array(rho_new)
+        state["sigma"] = np.array(sigma_new)

@@ -67,10 +67,12 @@ class SolverContext(abc.ABC):
         self.kernels = resolve_kernels(kernels)
         self.ledger = ledger if ledger is not None else EventLedger()
         self.mask = np.asarray(stencil.mask, dtype=bool)
-        #: Trailing batch width for multi-RHS solves.  ``None`` (the
-        #: default) keeps the scalar 2-D vector layout; solvers set it
-        #: during a batched solve so :meth:`new_vector` allocates the
-        #: active column count (it shrinks as columns converge).
+        #: Batch width of the running solve.  ``None`` (the default)
+        #: keeps the scalar 2-D vector layout (Lanczos, operators); the
+        #: guarded loop sets it for every solve -- 1 for a 2-D ``b`` --
+        #: so :meth:`new_vector` allocates the running column count (it
+        #: shrinks as columns converge) and reductions return one value
+        #: per column.
         self.nrhs = None
 
     # -- vectors -------------------------------------------------------
@@ -246,6 +248,12 @@ class SolverContext(abc.ABC):
         return binomial_tree_depth(self.num_ranks)
 
 
+def _squeeze(array):
+    """A one-column ``(ny, nx, 1)`` array as ``(ny, nx)`` (a view)."""
+    return array[..., 0] if array.ndim == 3 and array.shape[2] == 1 \
+        else array
+
+
 # ======================================================================
 class SerialContext(SolverContext):
     """Global-array context with decomposition-derived event accounting.
@@ -286,8 +294,13 @@ class SerialContext(SolverContext):
             self._p = 1
 
     # -- vectors -------------------------------------------------------
+    # A one-column batch is held as a plain ``(ny, nx)`` array -- the
+    # same bytes as ``(ny, nx, 1)`` -- so it runs exactly the 2-D
+    # kernels.  ``nrhs`` tells it apart from a scalar vector where the
+    # layout shows: reductions return ``(1,)`` arrays and ``to_global``
+    # restores the trailing axis.
     def new_vector(self):
-        if self.nrhs is None:
+        if self.nrhs is None or self.nrhs == 1:
             return np.zeros(self.stencil.shape)
         return np.zeros(self.stencil.shape + (self.nrhs,))
 
@@ -295,13 +308,15 @@ class SerialContext(SolverContext):
         return v.copy()
 
     def from_global(self, array):
-        return np.array(array, dtype=np.float64)
+        return np.array(_squeeze(np.asarray(array)), dtype=np.float64)
 
     def to_global(self, v):
+        if v.ndim == 2 and self.nrhs is not None:
+            return v[..., None].copy()
         return v.copy()
 
     def compact(self, v, keep):
-        return np.ascontiguousarray(v[..., keep])
+        return np.ascontiguousarray(_squeeze(v[..., keep]))
 
     # -- operator ------------------------------------------------------
     def matvec(self, x, out=None, phase="computation"):
@@ -328,66 +343,50 @@ class SerialContext(SolverContext):
         return self.preconditioner.apply_global(r, out=out)
 
     # -- reductions ----------------------------------------------------
-    def _dot_columns(self, a, b):
-        """Per-column masked dots of a multi-RHS pair, shape ``(nrhs,)``.
+    def _dots(self, a, b):
+        """Masked dots, one per column: a float for a scalar vector, a
+        ``(nrhs,)`` array for a batch.
 
-        Each column is reduced on a *contiguous* copy so the pairwise
-        summation blocking (and hence every bit of the result) matches
-        the scalar path exactly; a strided reduction over the batch
-        layout could legally re-block the accumulation.
+        Each column of a wider batch is reduced on a *contiguous* copy
+        so the pairwise summation blocking (and hence every bit of the
+        result) matches a one-column solve exactly; a strided reduction
+        over the batch layout could legally re-block the accumulation.
         """
-        nrhs = a.shape[2]
-        value = np.empty(nrhs)
-        for j in range(nrhs):
-            value[j] = masked_dot(np.ascontiguousarray(a[..., j]),
-                                  np.ascontiguousarray(b[..., j]),
-                                  self._mask_f)
-        return value
+        if a.ndim == 2:
+            value = masked_dot(a, b, self._mask_f)
+            return value if self.nrhs is None else np.array([value])
+        return np.array([masked_dot(np.ascontiguousarray(a[..., j]),
+                                    np.ascontiguousarray(b[..., j]),
+                                    self._mask_f)
+                         for j in range(a.shape[2])])
 
     def dot(self, a, b, phase="reduction"):
-        if a.ndim == 3:
-            value = self._dot_columns(a, b)
-            nrhs = a.shape[2]
-            self.ledger.record_flops("computation", nrhs * self._critical)
-            self.ledger.record_flops(phase, nrhs * self._critical)
-            # All columns' partials ride one fused all-reduce.
-            self.ledger.record_allreduce(phase, words=nrhs)
-            return value
-        value = masked_dot(a, b, self._mask_f)
-        self.ledger.record_flops("computation", self._critical)
-        self.ledger.record_flops(phase, self._critical)
-        self.ledger.record_allreduce(phase, words=1)
+        value = self._dots(a, b)
+        w = self._width(a)
+        self.ledger.record_flops("computation", w * self._critical)
+        self.ledger.record_flops(phase, w * self._critical)
+        # All columns' partials ride one fused all-reduce.
+        self.ledger.record_allreduce(phase, words=w)
         return value
 
     def dot_pair(self, a1, b1, a2, b2, phase="reduction"):
-        if a1.ndim == 3:
-            v1 = self._dot_columns(a1, b1)
-            v2 = self._dot_columns(a2, b2)
-            nrhs = a1.shape[2]
-            self.ledger.record_flops("computation", 2 * nrhs * self._critical)
-            self.ledger.record_flops(phase, 2 * nrhs * self._critical)
-            self.ledger.record_allreduce(phase, words=2 * nrhs)
-            return v1, v2
-        v1 = masked_dot(a1, b1, self._mask_f)
-        v2 = masked_dot(a2, b2, self._mask_f)
-        self.ledger.record_flops("computation", 2 * self._critical)
-        self.ledger.record_flops(phase, 2 * self._critical)
-        self.ledger.record_allreduce(phase, words=2)
+        v1 = self._dots(a1, b1)
+        v2 = self._dots(a2, b2)
+        w = self._width(a1)
+        self.ledger.record_flops("computation", 2 * w * self._critical)
+        self.ledger.record_flops(phase, 2 * w * self._critical)
+        self.ledger.record_allreduce(phase, words=2 * w)
         return v1, v2
 
     def dot_block(self, xs, ys, phase="reduction"):
         xs = list(xs)
         ys = list(ys)
-        multi = xs[0].ndim == 3
-        w = xs[0].shape[2] if multi else 1
-        shape = (len(xs), len(ys)) + ((w,) if multi else ())
-        out = np.empty(shape)
+        w = self._width(xs[0])
+        batch = xs[0].ndim == 3 or self.nrhs is not None
+        out = np.empty((len(xs), len(ys)) + ((w,) if batch else ()))
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
-                if multi:
-                    out[i, j] = self._dot_columns(x, y)
-                else:
-                    out[i, j] = masked_dot(x, y, self._mask_f)
+                out[i, j] = self._dots(x, y)
         n_words = len(xs) * len(ys) * w
         self.ledger.record_flops("computation", n_words * self._critical)
         self.ledger.record_flops(phase, n_words * self._critical)
@@ -408,7 +407,8 @@ class SerialContext(SolverContext):
                 out.append(np.ascontiguousarray(v[..., start]))
                 start += 1
             else:
-                out.append(np.ascontiguousarray(v[..., start:start + w]))
+                out.append(np.ascontiguousarray(
+                    _squeeze(v[..., start:start + w])))
                 start += int(w)
         return out
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from repro.core.errors import BreakdownError
-from repro.solvers.base import IterativeSolver
+from repro.solvers.base import IterativeSolver, column_coeffs, ieee_div
 
 
 class PCGSolver(IterativeSolver):
@@ -33,55 +33,30 @@ class PCGSolver(IterativeSolver):
         p = state["p"]
         q = ctx.matvec(p)
         pq = ctx.dot(p, q)                      # reduction #1
-        if isinstance(pq, np.ndarray):
-            return self._iterate_multi(state, pq, p, q)
-        if not math.isfinite(pq):
-            raise BreakdownError(
-                f"PCG breakdown: p^T A p is {pq} -- iterate is poisoned")
-        if pq == 0.0:
-            if state["rho"] == 0.0:
-                # Exact zero residual: already solved; no-op iteration.
-                return
-            raise BreakdownError("PCG breakdown: p^T A p vanished")
-        alpha = state["rho"] / pq
-        ctx.axpy(alpha, p, state["x"])
-        ctx.axpy(-alpha, q, state["r"])
-        z = ctx.precond(state["r"])
-        rho_new = ctx.dot(state["r"], z)        # reduction #2
-        if not math.isfinite(rho_new):
-            raise BreakdownError(
-                f"PCG breakdown: r^T z is {rho_new} -- iterate is poisoned")
-        if state["rho"] == 0.0:
-            raise BreakdownError("PCG breakdown: rho vanished")
-        beta = rho_new / state["rho"]
-        ctx.xpay(z, beta, p)                    # p = z + beta p
-        state["rho"] = rho_new
-
-    def _iterate_multi(self, state, pq, p, q):
-        """Batched recurrences, one ``(nrhs,)`` entry per column.
-
-        Live columns run the exact scalar arithmetic elementwise (bit-
-        identical to standalone solves); an exactly solved column
-        (``pq = rho = 0``) freezes itself through zero coefficients, and
-        a non-finite reduction poisons only its own column, which the
-        next convergence check diagnoses.  A vanished ``p^T A p`` or
-        ``rho`` on a live column is an SPD violation and raises the same
-        :class:`BreakdownError` the scalar path would.
-        """
-        ctx = self.context
-        rho = np.asarray(state["rho"], dtype=np.float64)
-        noop = (pq == 0.0) & (rho == 0.0)
-        if bool(noop.all()):
+        rho = state["rho"].tolist()
+        # An exactly solved column (pq = rho = 0) freezes itself
+        # through zero coefficients.
+        alpha, frozen = [], []
+        for pq_j, rho_j in zip(pq.tolist(), rho):
+            if pq_j == 0.0 and rho_j != 0.0:
+                raise BreakdownError("PCG breakdown: p^T A p vanished")
+            frozen.append(pq_j == 0.0)
+            alpha.append(0.0 if pq_j == 0.0 else rho_j / pq_j)
+        if all(frozen):
             return
-        if bool(np.any((pq == 0.0) & ~noop & np.isfinite(pq))):
-            raise BreakdownError("PCG breakdown: p^T A p vanished")
-        alpha = np.where(noop, 0.0, rho / np.where(noop, 1.0, pq))
+        alpha = column_coeffs(alpha)
         ctx.axpy(alpha, p, state["x"])
         ctx.axpy(-alpha, q, state["r"])
         z = ctx.precond(state["r"])
-        rho_new = ctx.dot(state["r"], z)        # reduction #2
-        if bool(np.any((rho == 0.0) & ~noop & np.isfinite(rho_new))):
-            raise BreakdownError("PCG breakdown: rho vanished")
-        beta = np.where(noop, 0.0, rho_new / np.where(noop, 1.0, rho))
-        ctx.xpay(z, beta, p)                    # p = z + beta p
-        state["rho"] = np.where(noop, rho, rho_new)
+        rho_new = ctx.dot(state["r"], z).tolist()   # reduction #2
+        beta = []
+        for j, (rho_j, new_j) in enumerate(zip(rho, rho_new)):
+            if frozen[j]:
+                beta.append(0.0)
+                rho_new[j] = rho_j
+                continue
+            if rho_j == 0.0 and math.isfinite(new_j):
+                raise BreakdownError("PCG breakdown: rho vanished")
+            beta.append(ieee_div(new_j, rho_j))
+        ctx.xpay(z, column_coeffs(beta), p)     # p = z + beta p
+        state["rho"] = np.array(rho_new)

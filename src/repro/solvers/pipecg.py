@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from repro.core.errors import BreakdownError, SolverError
-from repro.solvers.base import IterativeSolver
+from repro.solvers.base import IterativeSolver, column_coeffs, ieee_div
 
 
 class PipeCGSolver(IterativeSolver):
@@ -92,28 +92,48 @@ class PipeCGSolver(IterativeSolver):
         m = ctx.precond(w)
         n = ctx.matvec(m)
 
-        if isinstance(gamma, np.ndarray):
-            return self._iterate_multi(state, k, gamma, delta, m, n)
+        # An exactly solved column (gamma = delta = 0) freezes its x/r
+        # through zero coefficients (the auxiliary vectors keep
+        # updating, which is harmless).
+        first = state["gamma"] is None
+        gamma_old = [None] * len(gamma) if first else state["gamma"].tolist()
+        alpha_old = [None] * len(gamma) if first else state["alpha"].tolist()
+        beta, alpha, gamma_next, alpha_next = [], [], [], []
+        for gamma_j, delta_j, g_old, a_old in zip(
+                gamma.tolist(), delta.tolist(), gamma_old, alpha_old):
+            live = not (gamma_j == 0.0 and delta_j == 0.0)
+            finite = math.isfinite(gamma_j)
+            if first:
+                if live and delta_j == 0.0 and finite:
+                    raise BreakdownError(
+                        "PipeCG breakdown: denominator vanished")
+                beta_j = 0.0
+                alpha_j = ieee_div(gamma_j, delta_j) if live else 0.0
+                g_old = gamma_j
+                a_old = alpha_j
+            elif live:
+                if g_old == 0.0 and finite:
+                    raise BreakdownError("PipeCG breakdown: gamma vanished")
+                beta_j = ieee_div(gamma_j, g_old)
+                # Live columns always carry alpha_old != 0 (a zero alpha
+                # would have tripped the gamma check one iteration
+                # earlier).
+                denom = delta_j - ieee_div(beta_j * gamma_j, a_old)
+                if denom == 0.0 and finite:
+                    raise BreakdownError(
+                        "PipeCG breakdown: denominator vanished")
+                alpha_j = ieee_div(gamma_j, denom)
+                g_old = gamma_j
+                a_old = alpha_j
+            else:
+                beta_j = alpha_j = 0.0
+            beta.append(beta_j)
+            alpha.append(alpha_j)
+            gamma_next.append(g_old)
+            alpha_next.append(a_old)
 
-        if not (math.isfinite(gamma) and math.isfinite(delta)):
-            raise BreakdownError(
-                f"PipeCG breakdown: non-finite reduction "
-                f"(gamma={gamma}, delta={delta}) -- iterate is poisoned")
-        if gamma == 0.0 and delta == 0.0:
-            return  # exact zero residual; already solved
-        if state["gamma"] is None:
-            beta = 0.0
-            alpha = gamma / delta
-        else:
-            if state["gamma"] == 0.0:
-                raise BreakdownError("PipeCG breakdown: gamma vanished")
-            beta = gamma / state["gamma"]
-            denom = delta - beta * gamma / state["alpha"]
-            if denom == 0.0:
-                raise BreakdownError(
-                    "PipeCG breakdown: denominator vanished")
-            alpha = gamma / denom
-
+        beta = column_coeffs(beta)
+        alpha = column_coeffs(alpha)
         ctx.xpay(n, beta, state["z"])        # z = n + beta z
         ctx.xpay(m, beta, state["q"])        # q = m + beta q
         ctx.xpay(u, beta, state["p"])        # p = u + beta p
@@ -122,75 +142,12 @@ class PipeCGSolver(IterativeSolver):
         ctx.axpy(-alpha, state["s"], r)
         ctx.axpy(-alpha, state["q"], u)
         ctx.axpy(-alpha, state["z"], w)
-
-        state["gamma"] = gamma
-        state["alpha"] = alpha
+        state["gamma"] = np.array(gamma_next)
+        state["alpha"] = np.array(alpha_next)
 
         if k % self.replace_freq == 0:
             # Residual replacement: resynchronize the recursively
             # updated vectors with their definitions.
-            state["r"] = ctx.residual(state["b"], state["x"])
-            state["u"] = ctx.precond(state["r"])
-            state["w"] = ctx.matvec(state["u"])
-
-    def _iterate_multi(self, state, k, gamma, delta, m, n):
-        """Batched recurrences, one ``(nrhs,)`` entry per column.
-
-        Live columns run the exact scalar coefficient arithmetic
-        elementwise, so each column's iterate is bit-identical to a
-        standalone solve; an exactly solved column (``gamma = delta =
-        0``) freezes its ``x``/``r`` through zero coefficients (the
-        auxiliary vectors keep updating, which is harmless), and a
-        non-finite reduction poisons only its own column, which the
-        next convergence check diagnoses.  A vanished ``gamma`` or
-        recurrence denominator on a live column is an SPD violation and
-        raises the same :class:`BreakdownError` the scalar path would.
-        """
-        ctx = self.context
-        r, u, w = state["r"], state["u"], state["w"]
-        noop = (gamma == 0.0) & (delta == 0.0)
-        live = ~noop
-        if state["gamma"] is None:
-            if bool(np.any(live & (delta == 0.0) & np.isfinite(gamma))):
-                raise BreakdownError(
-                    "PipeCG breakdown: denominator vanished")
-            beta = np.zeros_like(gamma)
-            alpha = np.where(live,
-                             gamma / np.where(live, delta, 1.0), 0.0)
-        else:
-            gamma_old = np.asarray(state["gamma"], dtype=np.float64)
-            alpha_old = np.asarray(state["alpha"], dtype=np.float64)
-            if bool(np.any(live & (gamma_old == 0.0)
-                           & np.isfinite(gamma))):
-                raise BreakdownError("PipeCG breakdown: gamma vanished")
-            beta = np.where(live,
-                            gamma / np.where(live, gamma_old, 1.0), 0.0)
-            # Live columns always carry alpha_old != 0 (a zero alpha
-            # would have tripped the gamma check one iteration earlier).
-            denom = delta - beta * gamma / np.where(live, alpha_old, 1.0)
-            if bool(np.any(live & (denom == 0.0) & np.isfinite(gamma))):
-                raise BreakdownError(
-                    "PipeCG breakdown: denominator vanished")
-            alpha = np.where(live,
-                             gamma / np.where(live, denom, 1.0), 0.0)
-
-        ctx.xpay(n, beta, state["z"])        # z = n + beta z
-        ctx.xpay(m, beta, state["q"])        # q = m + beta q
-        ctx.xpay(u, beta, state["p"])        # p = u + beta p
-        ctx.xpay(w, beta, state["s"])        # s = w + beta s
-        ctx.axpy(alpha, state["p"], state["x"])
-        ctx.axpy(-alpha, state["s"], r)
-        ctx.axpy(-alpha, state["q"], u)
-        ctx.axpy(-alpha, state["z"], w)
-
-        if state["gamma"] is None:
-            state["gamma"] = gamma
-            state["alpha"] = alpha
-        else:
-            state["gamma"] = np.where(live, gamma, state["gamma"])
-            state["alpha"] = np.where(live, alpha, state["alpha"])
-
-        if k % self.replace_freq == 0:
             state["r"] = ctx.residual(state["b"], state["x"])
             state["u"] = ctx.precond(state["r"])
             state["w"] = ctx.matvec(state["u"])

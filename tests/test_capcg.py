@@ -165,7 +165,7 @@ class TestRecovery:
 
 
 class TestCheckpointResume:
-    """The dedicated 'capcg' snapshot carries the epoch mid-flight."""
+    """The solver snapshot carries the s-step epoch mid-flight."""
 
     @pytest.mark.parametrize("engine", ["serial", "batched"])
     def test_resume_is_bit_identical(self, cfg, rhs, tmp_path, engine):
@@ -189,14 +189,6 @@ class TestCheckpointResume:
             assert (full.x == resumed.x).all()
             assert full.iterations == resumed.iterations
             assert full.residual_norm == resumed.residual_norm
-
-    def test_multi_rhs_checkpoint_is_rejected(self, cfg, rhs, tmp_path):
-        batch = np.stack([rhs, 2.0 * rhs], axis=-1)
-        policy = CheckpointPolicy(directory=str(tmp_path), every=10)
-        solver = CAPCGSolver(_context(cfg), tol=1e-12,
-                             max_iterations=500, sstep=4)
-        with pytest.raises(CheckpointError, match="multi-RHS"):
-            solver.solve(batch, checkpoint=policy)
 
     def test_wrong_sstep_refuses_resume(self, cfg, rhs, tmp_path):
         policy = CheckpointPolicy(directory=str(tmp_path), every=20)

@@ -277,12 +277,15 @@ class TestSolverResume:
                 _context(config, decomp, "serial", "numpy"),
                 tol=1e-12).solve(b, resume_from=policy.written[0])
 
+    @pytest.mark.parametrize("ndim", [2, 3])
     def test_failure_writes_snapshot_and_diagnosis_carries_ledger(
-            self, tmp_path, config, decomp):
+            self, tmp_path, config, decomp, ndim):
         """A diagnosed failure leaves a resumable snapshot, and the
         diagnosis always carries the iteration ledger and the last
-        finite residual."""
+        finite residual -- for a 2-D ``b`` and a 3-column batch alike."""
         b = _rhs(config)
+        if ndim == 3:
+            b = np.stack([_rhs(config, seed=s) for s in range(3)], axis=-1)
         policy = CheckpointPolicy(str(tmp_path), every=0,
                                   on_failure=True)
         starved = ChronGearSolver(
@@ -290,12 +293,18 @@ class TestSolverResume:
             max_iterations=30)
         with pytest.raises(ConvergenceError) as err:
             starved.solve(b, checkpoint=policy)
-        diagnosis = err.value.diagnosis
-        assert diagnosis is not None
-        assert "ledger" in diagnosis.data
-        assert diagnosis.data["ledger"]["computation"]["flops"] > 0
-        assert np.isfinite(diagnosis.data["last_finite_residual"])
-        assert err.value.result is not None
+        result = err.value.result
+        assert result is not None
+        diagnoses = [err.value.diagnosis.to_dict()]
+        if ndim == 3:
+            per_column = result.extra["per_rhs_diagnosis"]
+            assert sorted(per_column) == ["0", "1", "2"]
+            diagnoses += list(per_column.values())
+        for diagnosis in diagnoses:
+            data = diagnosis["data"]
+            assert "ledger" in data
+            assert data["ledger"]["computation"]["flops"] > 0
+            assert np.isfinite(data["last_finite_residual"])
 
         fail_path = policy.latest()
         assert fail_path is not None and "fail" in fail_path

@@ -2,8 +2,7 @@
 
 The kernel backends are execution details: the ``numpy`` reference and
 the ``fused`` backend must produce bit-identical results everywhere
-(same IEEE operation sequence, different dispatch), and the optional
-``numba`` backend may drift by at most 1e-12 relative.  The parity
+(same IEEE operation sequence, different dispatch).  The parity
 matrix below exercises every backend against the reference across
 stencil matvecs, EVP preconditioner applies, and full solves in the
 serial context and on the stacked virtual machine, under both mask
@@ -23,9 +22,7 @@ from repro.grid import test_config as make_test_config
 from repro.kernels import (
     AUTO_ORDER,
     KERNEL_CHOICES,
-    NUMBA_AVAILABLE,
     FusedKernels,
-    NumbaKernels,
     NumpyKernels,
     available_backends,
     get_backend,
@@ -37,26 +34,14 @@ from repro.precond import make_preconditioner
 from repro.precond.evp import evp_for_config
 from repro.solvers import DistributedContext, PCSISolver, SerialContext
 
-NUMBA_RTOL = 1e-12
-
-#: Backends that must match the reference bit for bit.
-DETERMINISTIC = ["numpy", "fused"]
-
-#: All backends the parity matrix runs -- numba rides along only when
-#: the optional dependency is importable.
-BACKENDS = DETERMINISTIC + [
-    pytest.param("numba", marks=pytest.mark.skipif(
-        not NUMBA_AVAILABLE, reason="numba not installed"))
-]
+#: The backends the parity matrix runs; each must match the reference
+#: bit for bit.
+BACKENDS = ["numpy", "fused"]
 
 
 def _assert_close(name, ref, got):
-    """Bit-identical for deterministic backends, 1e-12 for numba."""
-    if get_backend(name).deterministic:
-        assert np.array_equal(ref, got)
-    else:
-        scale = np.abs(ref).max() or 1.0
-        assert np.abs(got - ref).max() / scale <= NUMBA_RTOL
+    """Every backend is bit-identical to the numpy reference."""
+    assert np.array_equal(ref, got), name
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +86,6 @@ class TestRegistry:
     def test_determinism_flags(self):
         assert NumpyKernels().deterministic
         assert FusedKernels().deterministic
-        assert not NumbaKernels().deterministic
 
     def test_unknown_backend_raises_listing_choices(self):
         with pytest.raises(KernelError, match="unknown kernel backend"):
@@ -110,15 +94,6 @@ class TestRegistry:
             resolve_kernels("gpu")
         for choice in KERNEL_CHOICES:
             assert choice in str(err.value)
-
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba is installed")
-    def test_unavailable_backend_raises_with_reason(self):
-        with pytest.raises(KernelError, match="unavailable"):
-            get_backend("numba")
-        with pytest.raises(KernelError, match="unavailable"):
-            resolve_kernels("numba")
-        with pytest.raises(KernelError, match="unavailable"):
-            resolve_kernels(NumbaKernels())
 
     def test_auto_picks_first_available(self):
         assert resolve_kernels("auto").name == available_backends()[0]

@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from repro.core.checkpoint import CheckpointPolicy
-from repro.core.errors import KernelError
 from repro.grid import test_config as make_test_config
-from repro.kernels import resolve_array_module, resolve_kernels
+from repro.kernels import resolve_kernels
 from repro.parallel import VirtualMachine, decompose
 from repro.precond import make_preconditioner
 from repro.precond.evp import evp_for_config
@@ -237,7 +236,9 @@ class TestPerColumnDiagnosis:
 class TestCheckpointResume:
     """A multi-RHS solve checkpoints and resumes bit-identically."""
 
-    def test_resume_matches_uninterrupted(self, cfg, rhs_batch, tmp_path):
+    @pytest.mark.parametrize("solver_name", ["chrongear", "capcg"])
+    def test_resume_matches_uninterrupted(self, cfg, rhs_batch, tmp_path,
+                                          solver_name):
         # An exact guess for column 1 makes it finish first, so at least
         # one snapshot is taken *after* compaction shrank the batch.
         exact = ChronGearSolver(
@@ -246,24 +247,25 @@ class TestCheckpointResume:
                 rhs_batch[..., 1]).x
         x0 = np.zeros_like(rhs_batch)
         x0[..., 1] = exact
+        kw = {"sstep": 4} if solver_name == "capcg" else {}
+
+        def build():
+            return SOLVERS[solver_name](
+                _make_context(cfg, "serial", "diagonal"), tol=1e-12,
+                max_iterations=600, raise_on_failure=False, **kw)
 
         policy = CheckpointPolicy(directory=str(tmp_path), every=20,
                                   keep=10)
-        full = ChronGearSolver(
-            _make_context(cfg, "serial", "diagonal"), tol=1e-12,
-            max_iterations=600, raise_on_failure=False).solve(
-                rhs_batch, x0=x0, checkpoint=policy)
+        full = build().solve(rhs_batch, x0=x0, checkpoint=policy)
         snapshots = sorted(os.listdir(tmp_path))
         assert snapshots
         for snap in snapshots:
-            resumed = ChronGearSolver(
-                _make_context(cfg, "serial", "diagonal"), tol=1e-12,
-                max_iterations=600, raise_on_failure=False).solve(
-                    rhs_batch, x0=x0,
-                    resume_from=str(tmp_path / snap))
+            resumed = build().solve(rhs_batch, x0=x0,
+                                    resume_from=str(tmp_path / snap))
             assert (full.x == resumed.x).all()
             assert full.extra["per_rhs_iterations"] == \
                 resumed.extra["per_rhs_iterations"]
+            assert full.residual_history == resumed.residual_history
 
 
 class TestCacheKeying:
@@ -340,43 +342,3 @@ class TestEnsembleLockstep:
                                           batched.members):
             for month_seq, month_bat in zip(member_seq, member_bat):
                 assert (month_seq == month_bat).all()
-
-
-class TestArrayModuleResolution:
-    """xp plumbing: numpy identity, graceful GPU fallback, hard errors."""
-
-    def test_numpy_is_default_and_shared(self):
-        assert resolve_array_module() is np
-        assert resolve_array_module("numpy") is np
-        backend = resolve_kernels("fused")
-        assert backend.xp is np
-        assert resolve_kernels("fused", xp="numpy") is backend
-
-    @pytest.mark.parametrize("name", ["cupy", "jax"])
-    def test_missing_gpu_module_degrades_with_one_warning(self, name):
-        try:
-            __import__(name)
-        except ImportError:
-            pass
-        else:
-            pytest.skip(f"{name} is installed here")
-        import repro.kernels as K
-
-        K._WARNED_ARRAY_MODULES.discard(name)
-        with pytest.warns(RuntimeWarning,
-                          match=f"array module '{name}' is unavailable"):
-            assert resolve_array_module(name) is np
-        # Second resolution: silent (warn-once), still numpy.
-        import warnings as W
-
-        with W.catch_warnings():
-            W.simplefilter("error")
-            assert resolve_array_module(name) is np
-
-    def test_unknown_array_module_raises(self):
-        with pytest.raises(KernelError, match="unknown array module"):
-            resolve_array_module("torch")
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(KernelError, match="unknown kernel backend"):
-            resolve_kernels("cuda")
